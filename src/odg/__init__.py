@@ -2,12 +2,12 @@
 
 Pairwise-comparison systems are represented as directed graphs whose
 vertex-weighted Laplacian (vertex weights = inverse design weights) carries
-the full spectral content of the design problem; every eigenvalue-based
-criterion, closed-form optimum and certificate in this package builds on
-that representation.
+the full spectral content of the design problem. For any contrast system the
+same role is played by the v-by-v matrix K(w) = diag(w)^{-1/2} q q^T
+diag(w)^{-1/2}; every eigenvalue-based criterion, closed-form optimum and
+certificate in this package is read from it.
 """
 
-from ._kernels import BACKEND, NUMBA_ENABLED
 from .contrasts import (
     ComparisonGraph,
     ContrastSystem,
@@ -66,8 +66,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "NUMBA_ENABLED",
     "CertificateReport",
     "ClosedFormResult",
     "ComparisonGraph",

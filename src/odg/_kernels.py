@@ -1,214 +1,63 @@
-"""Hot numeric kernels: numba-jitted fast paths with pure-numpy fallbacks.
+"""Numeric kernels of the v-by-v spectral core.
 
-The backend is chosen once at import time. Set ``ODG_BACKEND=numpy`` to
-force the numpy implementations; the default is the numba path whenever
-numba is importable. Both implementations of every kernel are importable
-directly (``eigh_sym_jacobi`` / ``eigh_sym_numpy``, ``grid_scan_jacobi`` /
-``grid_scan_numpy``) so they can be compared and benchmarked against each
-other regardless of the active backend.
+Every spectrum in the package is read from K(w) = W^{-1/2} G W^{-1/2}, where
+G = Q Q^T is the v-by-v Gram matrix of a contrast system and W = diag(w).
+K(w) shares its positive eigenvalues with the s-by-s covariance matrix
+Q^T W^{-1} Q; for pairwise systems it is the vertex-weighted Laplacian.
+``weighted_gram`` is the one place that scales G by a design, ``eigh_sym``
+the one eigensolver (LAPACK), and ``grid_scan`` the brute-force lattice
+scan built on both.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import chain, combinations, islice
 
 import numpy as np
 
-BACKEND = os.environ.get("ODG_BACKEND", "numba").strip().lower()
-NUMBA_ENABLED = False
-if BACKEND != "numpy":
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-# Jacobi converges quadratically; a few sweeps suffice for the matrix
-# sizes handled here (tens of rows). The limit is a safety net only.
-_SWEEP_LIMIT = 60
+# Lattice designs handed to one batched eigensolve; bounds the scan's memory.
+_SCAN_CHUNK = 4096
 
 
-def _jacobi_diagonalize(a, vecs, accumulate):
-    """One-sided cyclic Jacobi on symmetric ``a``, in place.
+def weighted_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K(w): entries gram_ij / sqrt(w_i w_j).
 
-    Sweeps run in a fixed row-major order over the upper triangle so the
-    rotation sequence (and hence the result, bit for bit) is reproducible.
-    When ``accumulate`` is true, ``vecs`` collects the product of rotations;
-    its columns end up as eigenvectors of the original matrix.
+    ``w`` may carry leading batch axes, giving one matrix per design. The
+    diagonal is exactly gram_ii / w_i.
     """
-    n = a.shape[0]
-    scale = 0.0
-    for i in range(n):
-        for j in range(n):
-            scale += a[i, j] * a[i, j]
-    scale = np.sqrt(scale)
-    if scale == 0.0:
-        return
-    skip = 1e-18 * scale
-    stop = 1e-14 * scale
-    for _ in range(_SWEEP_LIMIT):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += a[p, q] * a[p, q]
-        if np.sqrt(2.0 * off) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = 1.0 / (theta - np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app = a[p, p]
-                aqq = a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = c * aip - s * aiq
-                        a[p, i] = a[i, p]
-                        a[i, q] = c * aiq + s * aip
-                        a[q, i] = a[i, q]
-                if accumulate:
-                    for i in range(n):
-                        vip = vecs[i, p]
-                        viq = vecs[i, q]
-                        vecs[i, p] = c * vip - s * viq
-                        vecs[i, q] = c * viq + s * vip
+    return gram / np.sqrt(w[..., :, None] * w[..., None, :])
 
 
-def _grid_scan_core(b, r, n, v, mode, qexp):
-    """Scan every lattice design w = counts/n (counts positive, summing to n).
-
-    ``b`` is the v-by-v Gram matrix of the coefficient rows; for each lattice
-    point the positive spectrum of diag(w)^{-1/2} b diag(w)^{-1/2} is
-    computed by a values-only Jacobi pass and reduced according to ``mode``
-    (0: product of the r largest, 1: sum of r largest each to the power
-    ``qexp``, 2: largest). Returns the minimizing counts and value; ties keep
-    the lexicographically earliest counts.
-    """
-    a = np.empty((v, v))
-    dummy = np.empty((1, 1))
-    counts = np.empty(v, np.int64)
-    isw = np.empty(v)
-    lam = np.empty(v)
-    best = np.inf
-    best_counts = np.zeros(v, np.int64)
-    free = v - 1
-    prefix = np.ones(free, np.int64)
-    while True:
-        s = 0
-        for i in range(free):
-            counts[i] = prefix[i]
-            s += prefix[i]
-        counts[free] = n - s
-        for i in range(v):
-            isw[i] = np.sqrt(n / counts[i])
-        for i in range(v):
-            for j in range(v):
-                a[i, j] = b[i, j] * isw[i] * isw[j]
-        _jacobi_diagonalize(a, dummy, False)
-        for i in range(v):
-            lam[i] = a[i, i]
-        # insertion sort, descending (v is tiny)
-        for i in range(1, v):
-            key = lam[i]
-            j = i - 1
-            while j >= 0 and lam[j] < key:
-                lam[j + 1] = lam[j]
-                j -= 1
-            lam[j + 1] = key
-        if mode == 0:
-            psi = 1.0
-            for i in range(r):
-                psi *= lam[i]
-        elif mode == 1:
-            psi = 0.0
-            for i in range(r):
-                psi += lam[i] ** qexp
-        else:
-            psi = lam[0]
-        if psi < best:
-            best = psi
-            for i in range(v):
-                best_counts[i] = counts[i]
-        # lexicographic successor of the prefix
-        k = free - 1
-        while k >= 0:
-            prefix[k] += 1
-            s2 = 0
-            for i in range(k + 1):
-                s2 += prefix[i]
-            s2 += free - 1 - k
-            if n - s2 >= 1:
-                for i in range(k + 1, free):
-                    prefix[i] = 1
-                break
-            prefix[k] = 1
-            k -= 1
-        if k < 0:
-            break
-    return best, best_counts
-
-
-if NUMBA_ENABLED:
-    _jacobi_diagonalize = njit(cache=True)(_jacobi_diagonalize)
-    _grid_scan_core = njit(cache=True)(_grid_scan_core)
-
-
-def eigh_sym_jacobi(a):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(values, vectors)`` with values descending and eigenvectors as
-    the corresponding columns. Runs jitted under the numba backend and as
-    plain Python otherwise.
-    """
-    work = np.array(a, dtype=np.float64, order="C")
-    n = work.shape[0]
-    vecs = np.eye(n)
-    _jacobi_diagonalize(work, vecs, True)
-    vals = np.diag(work).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], np.ascontiguousarray(vecs[:, order])
-
-
-def eigh_sym_numpy(a):
+def eigh_sym(a):
     """LAPACK eigen-decomposition, reordered to descending eigenvalues."""
     vals, vecs = np.linalg.eigh(np.asarray(a, dtype=np.float64))
     return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
 
 
-def grid_scan_jacobi(b, r, n, v, mode, qexp):
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    best, counts = _grid_scan_core(b, int(r), int(n), int(v), int(mode), float(qexp))
-    return float(best), counts
+def grid_scan(b, r, n, v, mode, qexp):
+    """Scan every lattice design w = counts/n (counts positive, summing to n).
 
-
-def grid_scan_numpy(b, r, n, v, mode, qexp):
-    """Vectorized lattice scan: batched ``eigvalsh`` over chunks of designs."""
+    ``b`` is the v-by-v Gram matrix of the coefficient rows; for each lattice
+    point the spectrum of K(w) is reduced according to ``mode`` (0: product
+    of the r largest, 1: sum of the r largest each to the power ``qexp``,
+    2: largest). Designs are enumerated as v-1 cut positions in 1..n-1, in
+    lexicographic order, which is also the lexicographic order of the
+    counts. Returns the minimizing value and counts; ties keep the
+    lexicographically earliest counts.
+    """
     b = np.asarray(b, dtype=np.float64)
     best = np.inf
     best_counts = np.zeros(v, np.int64)
-
-    def consider(counts):
-        nonlocal best, best_counts
-        if counts.shape[0] == 0:
-            return
-        isw = np.sqrt(n / counts)
-        mats = b[None, :, :] * isw[:, :, None] * isw[:, None, :]
-        vals = np.linalg.eigvalsh(mats)
+    cuts = combinations(range(1, n), v - 1)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(cuts, _SCAN_CHUNK)), dtype=np.int64)
+        if flat.size == 0:
+            break
+        edges = np.zeros((flat.size // (v - 1), v + 1), np.int64)
+        edges[:, 1:v] = flat.reshape(-1, v - 1)
+        edges[:, v] = n
+        counts = np.diff(edges, axis=1)
+        vals = np.linalg.eigvalsh(weighted_gram(b, counts / n))
         top = vals[:, v - r:]
         if mode == 0:
             psi = np.prod(top, axis=1)
@@ -219,31 +68,5 @@ def grid_scan_numpy(b, r, n, v, mode, qexp):
         i = int(np.argmin(psi))
         if psi[i] < best:
             best = float(psi[i])
-            best_counts = counts[i].astype(np.int64)
-
-    if v == 2:
-        n1 = np.arange(1, n)
-        consider(np.column_stack([n1, n - n1]).astype(np.float64))
-    elif v == 3:
-        for n1 in range(1, n - 1):
-            n2 = np.arange(1, n - n1)
-            counts = np.column_stack([np.full_like(n2, n1), n2, n - n1 - n2])
-            consider(counts.astype(np.float64))
-    else:
-        for n1 in range(1, n - 2):
-            m = n - n1
-            g2, g3 = np.meshgrid(np.arange(1, m - 1), np.arange(1, m - 1), indexing="ij")
-            keep = g2 + g3 <= m - 1
-            n2 = g2[keep]
-            n3 = g3[keep]
-            counts = np.column_stack([np.full_like(n2, n1), n2, n3, m - n2 - n3])
-            consider(counts.astype(np.float64))
+            best_counts = counts[i]
     return best, best_counts
-
-
-if NUMBA_ENABLED:
-    eigh_sym = eigh_sym_jacobi
-    grid_scan = grid_scan_jacobi
-else:
-    eigh_sym = eigh_sym_numpy
-    grid_scan = grid_scan_numpy

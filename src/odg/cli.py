@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from ._config import default_rank_tol
+from ._kernels import weighted_gram
 from .contrasts import (
     ContrastSystem,
     classify,
@@ -34,10 +35,10 @@ from .contrasts import (
     rank_of,
 )
 from .closed_form import a_optimal, d_optimal_uniform, e_optimal_bipartite
-from .criteria import CriterionValue, psi_p, validate_p
+from .criteria import CriterionValue, criterion_from_spectrum, psi_p, validate_p
 from .forests import verify_d_identity
 from .optimizer import OptimizeOptions, e_certificate, grid_oracle, optimize_phi_p
-from .spectral import Design, covariance_matrix, eigenvalues_sym, vertex_weighted_laplacian
+from .spectral import Design, Spectrum, eigenvalues_sym
 from .symmetry import Permutation, check_invariance, find_cyclic_invariance, orbit_reduction
 from .errors import (
     InfeasibleDesign,
@@ -95,6 +96,11 @@ def _criterion_doc(value: CriterionValue) -> dict:
     return {"p": _format_p(value.p), "psi": value.psi, "phi": value.phi, "rank": value.rank}
 
 
+def _spectrum_doc(spectrum: Spectrum, rank: int, s: int) -> list:
+    """The covariance spectrum: K(w)'s top ``rank`` eigenvalues, zero-padded to length s."""
+    return [float(x) for x in spectrum.values[:rank]] + [0.0] * (s - rank)
+
+
 def _certificate_doc(cert) -> dict:
     return {
         "lhs_max": cert.lhs_max,
@@ -123,19 +129,17 @@ def _cmd_eval(args) -> tuple[dict, int]:
     system = _load_system(args.q)
     design = _load_design(args.w, system.v)
     rank = rank_of(system, args.rank_tol)
-    value = psi_p(system, design, args.p, rank=rank, rank_tol=args.rank_tol)
-    spectrum = eigenvalues_sym(covariance_matrix(system, design), args.rank_tol)
+    spectrum = eigenvalues_sym(weighted_gram(system.gram, design.w), args.rank_tol)
+    value = criterion_from_spectrum(spectrum, rank, args.p)
     extra = {}
-    graph = detect_pairwise(system)
-    if graph is not None:
-        lap = eigenvalues_sym(vertex_weighted_laplacian(graph, design), args.rank_tol)
-        extra["laplacian_spectrum"] = [float(x) for x in lap.values]
+    if detect_pairwise(system) is not None:
+        extra["laplacian_spectrum"] = [float(x) for x in spectrum.values]
     doc = _report(
         "eval",
         {"q": args.q, "w": args.w, "p": _format_p(args.p), "rank_tol": args.rank_tol or default_rank_tol()},
         design=[float(x) for x in design.w],
         criterion=_criterion_doc(value),
-        spectrum=[float(x) for x in spectrum.values],
+        spectrum=_spectrum_doc(spectrum, rank, system.s),
         **extra,
     )
     return doc, 0
@@ -188,18 +192,18 @@ def _cmd_optimize(args) -> tuple[dict, int]:
     if closed is not None:
         design, criterion = closed.design, closed.criterion
         iterations, converged = 0, True
+        certificate = e_certificate(system, design) if args.p == -math.inf else None
     else:
         method = "numeric"
         opts = OptimizeOptions(tol=args.tol, max_iter=args.max_iter, seed=args.seed, orbits=orbits)
         result = optimize_phi_p(system, args.p, opts)
-        design, criterion = result.design, result.criterion
+        design, criterion, certificate = result.design, result.criterion, result.certificate
         iterations, converged = result.iterations, result.converged
         if not converged:
             exit_code = 4
             print("warning: optimizer did not converge within its budget", file=sys.stderr)
 
-    certificate = e_certificate(system, design) if args.p == -math.inf else None
-    spectrum = eigenvalues_sym(covariance_matrix(system, design))
+    spectrum = eigenvalues_sym(weighted_gram(system.gram, design.w))
     doc = _report(
         "optimize",
         {
@@ -213,7 +217,7 @@ def _cmd_optimize(args) -> tuple[dict, int]:
         },
         design=[float(x) for x in design.w],
         criterion=_criterion_doc(criterion),
-        spectrum=[float(x) for x in spectrum.values],
+        spectrum=_spectrum_doc(spectrum, criterion.rank, system.s),
         certificate=_certificate_doc(certificate) if certificate else None,
         optimizer={"method": method, "iterations": iterations, "converged": converged},
     )

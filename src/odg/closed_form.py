@@ -20,14 +20,14 @@ import numpy as np
 from .contrasts import ComparisonGraph, ContrastSystem, classify, graph_system, rank_of
 from .criteria import CriterionValue, psi_p
 from .errors import NotBipartite, RankTooLow
-from .spectral import Design, covariance_matrix
+from .spectral import Design
 
 
 @dataclass(frozen=True, eq=False)
 class ClosedFormResult:
     design: Design
     criterion: CriterionValue
-    method: str  # a_general | a_pairwise | e_bipartite | d_uniform
+    method: str  # a_general | e_bipartite | d_uniform
     eigvec: Optional[np.ndarray] = None
 
 
@@ -47,23 +47,16 @@ def a_optimal(system: ContrastSystem) -> ClosedFormResult:
 
 
 def a_optimal_pairwise(graph: ComparisonGraph) -> ClosedFormResult:
-    """Trace-criterion minimizer for a pairwise system: w_i proportional to
-    sqrt(degree_i). Identical to ``a_optimal`` on the induced system."""
-    roots = np.sqrt(np.asarray(graph.degrees, dtype=np.float64))
-    design = Design(roots / roots.sum())
-    system = graph_system(graph)
-    return ClosedFormResult(
-        design=design,
-        criterion=psi_p(system, design, -1.0, rank=rank_of(system)),
-        method="a_pairwise",
-    )
+    """``a_optimal`` of the graph's system: w_i proportional to sqrt(degree_i)."""
+    return a_optimal(graph_system(graph))
 
 
 def e_optimal_bipartite(graph: ComparisonGraph) -> ClosedFormResult:
     """Largest-eigenvalue-criterion minimizer for a bipartite pairwise system.
 
     Weights are degree-proportional and the optimal value is 4s. The
-    returned eigvec attains the top eigenvalue of the covariance matrix; its
+    returned eigvec attains the top eigenvalue of the covariance matrix (checked
+    as q^T ((q h) / w) = 4s h, without forming that s-by-s matrix); its
     signs are propagated breadth-first from the lowest-index vertex of each
     component (seed +1), so the output is deterministic. Entries are
     +1/sqrt(s) on edges pointing from color 1 to color 0 and -1/sqrt(s)
@@ -80,7 +73,7 @@ def e_optimal_bipartite(graph: ComparisonGraph) -> ClosedFormResult:
     h = np.array([sign[b] for _, b in graph.edges]) / np.sqrt(s)
     system = graph_system(graph)
     target = 4.0 * s
-    residual = covariance_matrix(system, design) @ h - target * h
+    residual = system.q.T @ ((system.q @ h) / design.w) - target * h
     if float(np.linalg.norm(residual)) > 1e-8 * target:
         raise RuntimeError("degree-rule eigenvector failed its residual check")
     criterion = psi_p(system, design, -np.inf, rank=rank_of(system))

@@ -24,9 +24,14 @@ from .errors import MalformedInput, NotAContrast, ZeroRow
 
 @dataclass(frozen=True, eq=False)
 class ContrastSystem:
-    """Validated v-by-s matrix of contrast coefficients."""
+    """Validated v-by-s matrix of contrast coefficients.
+
+    ``gram`` is the v-by-v Gram matrix q q^T, computed once here; every
+    spectrum of the system is read from it (see ``_kernels.weighted_gram``).
+    """
 
     q: np.ndarray
+    gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
         q = np.array(self.q, dtype=np.float64)
@@ -45,7 +50,10 @@ class ContrastSystem:
         if zero.size:
             raise ZeroRow(f"treatment {zero[0] + 1} has an all-zero coefficient row")
         q.flags.writeable = False
+        gram = q @ q.T
+        gram.flags.writeable = False
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def v(self) -> int:
@@ -241,13 +249,16 @@ def graph_system(graph: ComparisonGraph) -> ContrastSystem:
 
 
 def rank_of(system: ContrastSystem, tol: float | None = None) -> int:
-    """Numeric rank: eigenvalues of q^T q above tol relative to the largest."""
+    """Numeric rank: Gram eigenvalues above tol relative to the largest.
+
+    q q^T and q^T q share their positive eigenvalues, so the v-by-v Gram
+    matrix gives the rank of any system, however many contrasts it has.
+    """
     if tol is None:
         tol = default_rank_tol()
     if tol <= 0:
         raise ValueError("rank tolerance must be positive")
-    gram = system.q.T @ system.q
-    vals, _ = eigh_sym(gram)
+    vals, _ = eigh_sym(system.gram)
     if vals[0] <= 0.0:
         return 0
     return int(np.count_nonzero(vals > tol * vals[0]))

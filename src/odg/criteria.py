@@ -1,7 +1,9 @@
 """Eigenvalue-based design criteria in their minimization form.
 
 For p in [-inf, 0] the criterion value psi_p is computed from the r largest
-eigenvalues of the covariance matrix, where r is the system rank:
+eigenvalues of the covariance matrix, where r is the system rank. They are
+read from the v-by-v matrix K(w), which shares the covariance matrix's
+positive spectrum (see ``spectral``):
 
     p = 0      product of the eigenvalues
     p in (-inf, 0)   sum of eigenvalues each to the power -p
@@ -22,14 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrasts import ComparisonGraph, ContrastSystem, classify, rank_of
-from .spectral import (
-    Design,
-    Spectrum,
-    covariance_matrix,
-    eigenvalues_sym,
-    vertex_weighted_laplacian,
-)
+from ._kernels import weighted_gram
+from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
+from .spectral import Design, Spectrum, eigenvalues_sym
 from .errors import NonPositiveEigenvalue
 
 
@@ -78,14 +75,14 @@ def psi_p(
     rank: int | None = None,
     rank_tol: float | None = None,
 ) -> CriterionValue:
-    """Criterion value from the covariance-matrix spectrum.
+    """Criterion value from the spectrum of K(w).
 
     ``rank`` may be precomputed once per system and passed in; otherwise it
     is determined here with the shared tolerance.
     """
     if rank is None:
         rank = rank_of(system, rank_tol)
-    spectrum = eigenvalues_sym(covariance_matrix(system, design), rank_tol)
+    spectrum = eigenvalues_sym(weighted_gram(system.gram, design.w), rank_tol)
     return criterion_from_spectrum(spectrum, rank, p)
 
 
@@ -96,15 +93,8 @@ def psi_p_via_laplacian(
     rank: int | None = None,
     rank_tol: float | None = None,
 ) -> CriterionValue:
-    """Same contract as ``psi_p`` but evaluated on the vertex-weighted Laplacian.
-
-    Valid because the Laplacian with vertex weights 1/w_i shares its positive
-    spectrum with the covariance matrix of the induced pairwise system.
-    """
-    if rank is None:
-        rank = graph.v - classify(graph).component_count
-    spectrum = eigenvalues_sym(vertex_weighted_laplacian(graph, design), rank_tol)
-    return criterion_from_spectrum(spectrum, rank, p)
+    """``psi_p`` of the graph's system, whose K(w) is the vertex-weighted Laplacian."""
+    return psi_p(graph_system(graph), design, p, rank=rank, rank_tol=rank_tol)
 
 
 def efficiency(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .contrasts import ComparisonGraph, classify, graph_system
 from .criteria import psi_p
-from .spectral import Design
+from .spectral import Design, vertex_weighted_laplacian
 from .errors import TooLarge
 
 ENUMERATION_LIMIT = 12
@@ -213,25 +213,24 @@ def verify_d_identity(
 ) -> DIdentityReport:
     """Compare the three determinant-criterion routes on one instance.
 
-    psi_det comes from the covariance-matrix spectrum, forest_total from
-    explicit enumeration, char_coefficient from the trace recurrence on the
-    weighted Laplacian; the report passes when all pairwise relative
-    deviations stay within ``tol``.
+    psi_det comes from the criterion (the eigenvalues of the weighted
+    Laplacian), forest_total from explicit enumeration, char_coefficient
+    from the trace recurrence on the same Laplacian; the report passes when
+    all pairwise relative deviations stay within ``tol``.
     """
-    from .spectral import vertex_weighted_laplacian
-
     if rank is None:
         rank = graph.v - classify(graph).component_count
+    lap = vertex_weighted_laplacian(graph, design)
     psi_det = psi_p(graph_system(graph), design, 0.0, rank=rank).psi
     forest_total = rooted_forest_weight(graph, design, graph.v - rank)
-    coeffs = char_poly_coeffs(vertex_weighted_laplacian(graph, design))
+    coeffs = char_poly_coeffs(lap)
     char_coefficient = float(coeffs[rank])
     values = (psi_det, forest_total, char_coefficient)
     max_rel = 0.0
     for a in values:
         for b in values:
             max_rel = max(max_rel, abs(a - b) / max(abs(a), abs(b), 1e-300))
-    lap_norm = float(np.linalg.norm(vertex_weighted_laplacian(graph, design)))
+    lap_norm = float(np.linalg.norm(lap))
     trailing = float(coeffs[graph.v])
     trailing_ok = abs(trailing) <= 1e-8 * lap_norm**graph.v
     return DIdentityReport(
@@ -241,7 +240,7 @@ def verify_d_identity(
         char_coefficient=char_coefficient,
         max_rel_deviation=max_rel,
         tol=tol,
-        passed=max_rel <= tol,
+        passed=bool(max_rel <= tol),
         trailing_coefficient=trailing,
         trailing_ok=trailing_ok,
     )

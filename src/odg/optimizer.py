@@ -21,11 +21,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import eigh_sym, grid_scan
+from ._kernels import eigh_sym, grid_scan, weighted_gram
 from .closed_form import a_optimal
 from .contrasts import ContrastSystem, rank_of
 from .criteria import CriterionValue, psi_p, validate_p
-from .spectral import Design, covariance_matrix, eigensystem_sym
+from .spectral import Design, eigensystem_sym
 from .symmetry import OrbitReduction
 from .errors import DegenerateEigenspace, InfeasibleStart, TooLarge
 
@@ -86,21 +86,12 @@ def project_floored_simplex(x: np.ndarray, floor: float) -> np.ndarray:
     return floor + scale * project_simplex((x - floor) / scale)
 
 
-def _spectral_state(gram: np.ndarray, w: np.ndarray):
-    """Eigen-decomposition of diag(w)^{-1/2} gram diag(w)^{-1/2}.
-
-    This v-by-v matrix shares its positive spectrum with the covariance
-    matrix of the system, and the eigenvalue derivative has the closed form
-    d lambda_j / d w_i = -lambda_j * u_{ij}^2 / w_i.
-    """
-    isw = 1.0 / np.sqrt(w)
-    vals, vecs = eigh_sym(gram * np.outer(isw, isw))
-    return vals, vecs
-
-
 def _make_objective(gram: np.ndarray, rank: int, p: float, temperature: float | None) -> Callable:
     def objective(w: np.ndarray):
-        vals, vecs = _spectral_state(gram, w)
+        # K(w) shares its positive spectrum with the covariance matrix, and
+        # the eigenvalue derivative has the closed form
+        # d lambda_j / d w_i = -lambda_j * u_{ij}^2 / w_i
+        vals, vecs = eigh_sym(weighted_gram(gram, w))
         sq = vecs * vecs
         if temperature is not None:
             shifted = (vals - vals[0]) / temperature
@@ -200,7 +191,7 @@ def optimize_phi_p(
     """
     p = validate_p(p)
     opts = opts or OptimizeOptions()
-    gram = system.q @ system.q.T
+    gram = system.gram
     rank = rank_of(system)
     w = _initial_point(system, p, opts)
     averager = None
@@ -213,7 +204,7 @@ def optimize_phi_p(
 
     total_iterations = 0
     if p == -math.inf:
-        lam0, _ = _spectral_state(gram, w)
+        lam0, _ = eigh_sym(weighted_gram(gram, w))
         scale = float(lam0[0])
         temperature = 0.1 * scale
         temperature_floor = 1e-9 * scale
@@ -249,26 +240,28 @@ def optimize_phi_p(
 def e_certificate(system: ContrastSystem, design: Design) -> CertificateReport:
     """Normality certificate for the largest-eigenvalue criterion.
 
-    With h the top unit eigenvector of the covariance matrix (sign fixed so
-    its first nonzero entry is positive) and the generalized inverse taken
-    as diag(w)^{-1}, the normality form is linear in the competing design,
-    so its maximum over all feasible designs is attained at a vertex design:
-    lhs_max = max_i ((q h)_i / w_i)^2. The design is certified optimal when
-    lhs_max does not exceed the largest covariance eigenvalue.
+    With h the top unit eigenvector of the covariance matrix and the
+    generalized inverse taken as diag(w)^{-1}, the normality form is linear
+    in the competing design, so its maximum over all feasible designs is
+    attained at a vertex design: lhs_max = max_i ((q h)_i / w_i)^2. The
+    design is certified optimal when lhs_max does not exceed the largest
+    covariance eigenvalue lambda.
+
+    Both come from K(w): lambda is its top eigenvalue, and with u the
+    matching unit eigenvector, h = q^T diag(w)^{-1/2} u / sqrt(lambda), so
+    q h = gram diag(w)^{-1/2} u / sqrt(lambda). The sign of h does not
+    enter lhs_max.
     """
-    spectrum, vecs = eigensystem_sym(covariance_matrix(system, design))
+    spectrum, vecs = eigensystem_sym(weighted_gram(system.gram, design.w))
     top = float(spectrum.values[0])
-    if spectrum.values.size > 1 and spectrum.values[0] - spectrum.values[1] <= 1e-8 * max(top, 1e-300):
+    if spectrum.values[0] - spectrum.values[1] <= 1e-8 * max(top, 1e-300):
         warnings.warn(
             "largest eigenvalue has numerical multiplicity > 1; "
             "the rank-one certificate may fail to certify an optimal design",
             DegenerateEigenspace,
         )
-    h = vecs[:, 0].copy()
-    nonzero = np.flatnonzero(np.abs(h) > 1e-12)
-    if nonzero.size and h[nonzero[0]] < 0:
-        h = -h
-    vertex_values = ((system.q @ h) / design.w) ** 2
+    qh = system.gram @ (vecs[:, 0] / np.sqrt(design.w)) / math.sqrt(top)
+    vertex_values = (qh / design.w) ** 2
     witness = int(np.argmax(vertex_values))
     lhs_max = float(vertex_values[witness])
     return CertificateReport(lhs_max=lhs_max, rhs=top, gap=lhs_max - top, witness_vertex=witness)
@@ -297,7 +290,7 @@ def grid_oracle(
     if n < system.v:
         raise TooLarge(f"step {step} leaves no room for {system.v} positive weights")
     rank = rank_of(system, rank_tol)
-    gram = system.q @ system.q.T
+    gram = system.gram
     if p == 0.0:
         mode, qexp = 0, 0.0
     elif p == -math.inf:

@@ -5,10 +5,11 @@ one. Its moment matrix is diag(w); the covariance matrix of a contrast
 system under the design is q^T diag(w)^{-1} q, and the information matrix is
 its inverse (Moore-Penrose pseudo-inverse in the rank-deficient case).
 
-For pairwise systems the same spectral information lives in the
-vertex-weighted Laplacian of the comparison graph with vertex weights 1/w_i:
-its positive eigenvalues coincide with those of the covariance matrix, which
-is what makes eigenvalue-only criteria computable on the graph side.
+The covariance matrix is s-by-s, but its positive eigenvalues are those of
+the v-by-v matrix K(w) = diag(w)^{-1/2} q q^T diag(w)^{-1/2}, which is how
+every criterion, rank and certificate in the package reads them. For a
+pairwise system K(w) is the vertex-weighted Laplacian of the comparison
+graph with vertex weights 1/w_i.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import WEIGHT_SUM_TOL, default_rank_tol
-from ._kernels import eigh_sym
-from .contrasts import ComparisonGraph, ContrastSystem, rank_of
+from ._kernels import eigh_sym, weighted_gram
+from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
 from .errors import (
     InfeasibleDesign,
     NonPositiveEigenvalue,
@@ -144,19 +145,14 @@ def pseudo_information_matrix(system: ContrastSystem, design: Design, rank_tol: 
 
 
 def vertex_weighted_laplacian(graph: ComparisonGraph, design: Design) -> np.ndarray:
-    """Laplacian with vertex weights 1/w_i.
+    """Laplacian with vertex weights 1/w_i: K(w) of the graph's system.
 
     Diagonal entries are degree_i / w_i; adjacent pairs get
     -(w_i w_j)^{-1/2}; everything else is zero.
     """
-    w = design.w
-    if w.size != graph.v:
-        raise InfeasibleDesign(f"design has {w.size} weights for a graph on {graph.v} vertices")
-    lap = np.zeros((graph.v, graph.v))
-    np.fill_diagonal(lap, np.asarray(graph.degrees) / w)
-    for a, b in graph.edges:
-        lap[a, b] = lap[b, a] = -1.0 / np.sqrt(w[a] * w[b])
-    return lap
+    if design.v != graph.v:
+        raise InfeasibleDesign(f"design has {design.v} weights for a graph on {graph.v} vertices")
+    return weighted_gram(graph_system(graph).gram, design.w)
 
 
 def pseudo_det(spectrum: Spectrum, r: int) -> float:

@@ -96,7 +96,7 @@ def check_invariance(system: ContrastSystem, perm: Permutation) -> bool:
     """Whether conjugating q q^T by the permutation reproduces it entrywise."""
     if perm.v != system.v:
         raise ValueError(f"permutation on {perm.v} elements for a system with v={system.v}")
-    gram = system.q @ system.q.T
+    gram = system.gram
     m = np.asarray(perm.mapping)
     conj = np.empty_like(gram)
     conj[np.ix_(m, m)] = gram
@@ -124,7 +124,7 @@ def find_cyclic_invariance(system: ContrastSystem, max_v: int = CYCLIC_SEARCH_LI
     v = system.v
     if v > max_v:
         raise TooLarge(f"exhaustive cyclic search is limited to v <= {max_v}, got v={v}")
-    gram = system.q @ system.q.T
+    gram = system.gram
     # necessary condition: every vertex must look alike (same diagonal entry,
     # same multiset of row entries)
     diag = np.diag(gram)

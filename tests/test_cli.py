@@ -209,16 +209,19 @@ class TestSymmetry:
 
 
 class TestOracle:
-    def test_kappa_path(self, tmp_path, capsys):
+    def test_kappa_path(self, tmp_path, paw_edges, capsys):
         q = tmp_path / "path.csv"
         q.write_text("-1,0\n1,-1\n0,1\n")
-        code, doc, _ = run_cli(capsys, "oracle", "--q", str(q), "--mode", "kappa")
-        assert code == 0
-        assert STABLE_KEYS <= set(doc)
-        oracle = doc["oracle"]
-        assert oracle["passed"] is True
-        for key in ("psi0", "kappa", "char_coeff"):
-            assert math.isclose(oracle[key], 27.0, rel_tol=1e-9)
+        # uniform design: every rooted spanning tree weighs v^(v-1), and the
+        # paw has 3 spanning trees with 4 roots each
+        for path, expected in ((str(q), 27.0), (paw_edges, 768.0)):
+            code, doc, _ = run_cli(capsys, "oracle", "--q", path, "--mode", "kappa")
+            assert code == 0
+            assert STABLE_KEYS <= set(doc)
+            oracle = doc["oracle"]
+            assert oracle["passed"] is True
+            for key in ("psi0", "kappa", "char_coeff"):
+                assert math.isclose(oracle[key], expected, rel_tol=1e-9)
 
     def test_grid_control_average(self, tmp_path, capsys):
         q = tmp_path / "avg.csv"

@@ -1,66 +1,20 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 
 import instances
-from odg import graph_system, rank_of
+from odg import graph_system
 from odg import _kernels as kernels
-
-
-def test_default_backend_is_numba():
-    # the test environment has numba installed and no override set
-    if os.environ.get("ODG_BACKEND", "numba") != "numpy":
-        assert kernels.BACKEND == "numba"
-        assert kernels.eigh_sym is kernels.eigh_sym_jacobi
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, ODG_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "import odg; print(odg.BACKEND, odg.NUMBA_ENABLED)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.split() == ["numpy", "False"]
-
-
-def test_eigh_backends_agree(rng):
-    for _ in range(30):
-        n = int(rng.integers(2, 13))
-        x = rng.standard_normal((n, n))
-        m = x @ x.T
-        va, _ = kernels.eigh_sym_jacobi(m)
-        vb, _ = kernels.eigh_sym_numpy(m)
-        assert np.allclose(va, vb, rtol=1e-9, atol=1e-9 * np.linalg.norm(m))
-
-
-def test_grid_scan_backends_agree(paw_system):
-    gram = paw_system.q @ paw_system.q.T
-    rank = rank_of(paw_system)
-    for mode, qexp in ((0, 0.0), (1, 1.0), (1, 2.0), (2, 0.0)):
-        pa, ca = kernels.grid_scan_jacobi(gram, rank, 40, 4, mode, qexp)
-        pb, cb = kernels.grid_scan_numpy(gram, rank, 40, 4, mode, qexp)
-        assert np.isclose(pa, pb, rtol=1e-10)
-        # argmins may differ only between exactly tied lattice points
-        assert int(ca.sum()) == 40 and int(cb.sum()) == 40
 
 
 def test_grid_scan_enumerates_full_lattice():
     # minimizer of the trace form sits at the known closed-form point
     system = graph_system(instances.path3_graph())
     gram = system.q @ system.q.T
-    for impl in (kernels.grid_scan_jacobi, kernels.grid_scan_numpy):
-        value, counts = impl(gram, 2, 10, 3, 1, 1.0)
-        assert counts.tolist() == [3, 4, 3]
+    value, counts = kernels.grid_scan(gram, 2, 10, 3, 1, 1.0)
+    assert counts.tolist() == [3, 4, 3]
 
 
 def test_grid_scan_two_vertices():
     gram = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for impl in (kernels.grid_scan_jacobi, kernels.grid_scan_numpy):
-        value, counts = impl(gram, 1, 10, 2, 2, 0.0)
-        assert counts.tolist() == [5, 5]
-        assert np.isclose(value, 4.0)
+    value, counts = kernels.grid_scan(gram, 1, 10, 2, 2, 0.0)
+    assert counts.tolist() == [5, 5]
+    assert np.isclose(value, 4.0)

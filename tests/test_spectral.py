@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from odg import (
     Spectrum,
     cofactor_minor,
     covariance_matrix,
+    criterion_from_spectrum,
     detect_pairwise,
+    e_certificate,
     eigensystem_sym,
     eigenvalues_sym,
     graph_system,
@@ -19,10 +22,12 @@ from odg import (
     moment_matrix,
     pseudo_det,
     pseudo_information_matrix,
+    psi_p,
     rank_of,
     vertex_weighted_laplacian,
 )
-from odg._kernels import eigh_sym_jacobi, eigh_sym_numpy
+from odg._kernels import eigh_sym
+from odg.cli import main as cli_main
 from odg.closed_form import e_optimal_bipartite
 from odg.errors import (
     InfeasibleDesign,
@@ -134,11 +139,49 @@ class TestLaplacian:
             lap = vertex_weighted_laplacian(graph, d)
             assert math.isclose(np.trace(lap), float(np.sum(np.array(graph.degrees) / d.w)), rel_tol=1e-12)
 
-    def test_positive_spectrum_matches_covariance(self, tree7, tree7_graph, rng):
+    def test_positive_spectrum_matches_covariance(self, tree7, tree7_graph, rng, tmp_path, capsys):
         d = instances.random_design(rng, 7)
         lap = eigenvalues_sym(vertex_weighted_laplacian(tree7_graph, d))
         cov = eigenvalues_sym(covariance_matrix(tree7, d))
         assert np.allclose(lap.values[:6], cov.values[:6], rtol=1e-10)
+        # rank, criteria, CLI spectrum and certificate, all read from the
+        # v-by-v K(w), against the s-by-s covariance route; general systems
+        # with s > v and with rank < v-1 as well as the tree
+        systems = [
+            (tree7, d),
+            (instances.random_contrast_system(rng, 6, 15), instances.random_design(rng, 6)),
+            (instances.random_contrast_system(rng, 8, 3), instances.random_design(rng, 8)),
+        ]
+        for k, (system, design) in enumerate(systems):
+            cov_matrix = covariance_matrix(system, design)
+            cov = eigenvalues_sym(cov_matrix)
+            rank = cov.positive_count
+            assert rank == min(system.s, system.v - 1)
+            assert rank_of(system) == rank
+            for p in (0.0, -1.0, -2.0, -math.inf):
+                got = psi_p(system, design, p)
+                want = criterion_from_spectrum(cov, rank, p)
+                assert got.rank == rank
+                assert math.isclose(got.psi, want.psi, rel_tol=1e-10)
+                assert math.isclose(got.phi, want.phi, rel_tol=1e-10)
+
+            q_path = tmp_path / f"q{k}.csv"
+            q_path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in system.q))
+            w_path = tmp_path / f"w{k}.csv"
+            w_path.write_text(",".join(repr(float(x)) for x in design.w))
+            assert cli_main(["eval", "--q", str(q_path), "--w", str(w_path), "--p", "-1"]) == 0
+            spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+            assert len(spectrum) == system.s
+            assert np.allclose(spectrum[:rank], cov.values[:rank], rtol=1e-10)
+            assert np.all(np.abs(cov.values[rank:]) <= cov.tol)
+            assert spectrum[rank:] == [0.0] * (system.s - rank)
+
+            if cov.values[0] - cov.values[1] > 1e-6 * cov.values[0]:
+                vals, vecs = np.linalg.eigh(cov_matrix)
+                lhs = float(np.max(((system.q @ vecs[:, -1]) / design.w) ** 2))
+                cert = e_certificate(system, design)
+                assert math.isclose(cert.lhs_max, lhs, rel_tol=1e-10)
+                assert math.isclose(cert.rhs, vals[-1], rel_tol=1e-10)
 
     def test_estimator_covariance_identity(self, rng):
         # R^T diag(1/n) R and diag(n^-1/2) R R^T diag(n^-1/2) share positive spectra
@@ -169,7 +212,7 @@ class TestEigensolver:
         with pytest.raises(NotSymmetric):
             eigenvalues_sym(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("solver", [eigh_sym_jacobi, eigh_sym_numpy])
+    @pytest.mark.parametrize("solver", [eigh_sym], ids=["eigh_sym_numpy"])
     def test_residuals_and_order_both_backends(self, solver, rng):
         for _ in range(40):
             n = int(rng.integers(2, 13))
@@ -180,15 +223,6 @@ class TestEigensolver:
             residual = m @ vecs - vecs * vals
             assert np.abs(residual).max() <= 1e-8 * np.linalg.norm(m)
             assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-10
-
-    def test_backends_agree(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 10))
-            x = rng.standard_normal((n, n))
-            m = x @ x.T
-            a, _ = eigh_sym_jacobi(m)
-            b, _ = eigh_sym_numpy(m)
-            assert np.allclose(a, b, rtol=1e-9, atol=1e-9 * np.linalg.norm(m))
 
 
 class TestPseudoDet:
