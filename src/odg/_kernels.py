@@ -1,12 +1,14 @@
 """Numeric kernels of the v-by-v spectral core.
 
-Every spectrum in the package is read from K(w) = W^{-1/2} G W^{-1/2}, where
+Every spectrum the package reports is read from K(w) = W^{-1/2} G W^{-1/2}, where
 G = Q Q^T is the v-by-v Gram matrix of a contrast system and W = diag(w).
 K(w) shares its positive eigenvalues with the s-by-s covariance matrix
 Q^T W^{-1} Q; for pairwise systems it is the vertex-weighted Laplacian.
-``weighted_gram`` is the one place that scales G by a design, ``eigh_sym``
-the one eigensolver (LAPACK), and ``grid_scan`` the brute-force lattice
-scan built on both.
+``weighted_gram`` is the one place that scales G by a design and
+``eigh_sym`` the one eigensolver (LAPACK). ``grid_scan``, the brute-force
+lattice scan, reads the same positive spectrum by a separate route: it
+factors G = F F^T once and eigensolves the r-by-r matrices F^T W^{-1} F,
+r = rank(G), never forming K(w).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 # Lattice designs handed to one batched eigensolve; bounds the scan's memory.
 _SCAN_CHUNK = 4096
+# Relative gap below which two lattice values count as tied.
+_TIE_RTOL = 1e-12
 
 
 def weighted_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -37,15 +41,22 @@ def eigh_sym(a):
 def grid_scan(b, r, n, v, mode, qexp):
     """Scan every lattice design w = counts/n (counts positive, summing to n).
 
-    ``b`` is the v-by-v Gram matrix of the coefficient rows; for each lattice
-    point the spectrum of K(w) is reduced according to ``mode`` (0: product
-    of the r largest, 1: sum of the r largest each to the power ``qexp``,
-    2: largest). Designs are enumerated as v-1 cut positions in 1..n-1, in
-    lexicographic order, which is also the lexicographic order of the
-    counts. Returns the minimizing value and counts; ties keep the
-    lexicographically earliest counts.
+    ``b`` is the v-by-v Gram matrix of the coefficient rows and ``r`` its
+    rank. It is factored once as F F^T with F = U_r diag(lambda_r)^{1/2}
+    (v-by-r, from the top r eigenpairs), so the r-by-r matrix
+    F^T W^{-1} F = sum_i f_i f_i^T / w_i carries exactly the r positive
+    eigenvalues of K(w). Each point's spectrum is reduced according to
+    ``mode`` (0: product, 1: sum of each to the power ``qexp``, 2: largest).
+
+    Designs are enumerated as v-1 cut positions in 1..n-1, in lexicographic
+    order, which is also the lexicographic order of the counts. Returns the
+    value and counts of the lexicographically earliest point whose value
+    lies within a relative 1e-12 of the minimum, so points tied in exact
+    arithmetic resolve the same way however their values are rounded.
     """
-    b = np.asarray(b, dtype=np.float64)
+    vals, vecs = eigh_sym(b)
+    f = vecs[:, :r] * np.sqrt(vals[:r])
+    outer = (f[:, :, None] * f[:, None, :]).reshape(v, r * r)
     best = np.inf
     best_counts = np.zeros(v, np.int64)
     cuts = combinations(range(1, n), v - 1)
@@ -57,16 +68,17 @@ def grid_scan(b, r, n, v, mode, qexp):
         edges[:, 1:v] = flat.reshape(-1, v - 1)
         edges[:, v] = n
         counts = np.diff(edges, axis=1)
-        vals = np.linalg.eigvalsh(weighted_gram(b, counts / n))
-        top = vals[:, v - r:]
+        top = np.linalg.eigvalsh(((n / counts) @ outer).reshape(-1, r, r))
         if mode == 0:
             psi = np.prod(top, axis=1)
         elif mode == 1:
             psi = np.sum(top**qexp, axis=1)
         else:
-            psi = vals[:, -1]
-        i = int(np.argmin(psi))
-        if psi[i] < best:
+            psi = top[:, -1]
+        low = psi.min()
+        # a later chunk displaces the kept point only when clearly lower
+        if low < best * (1.0 - _TIE_RTOL):
+            i = int(np.argmax(psi <= low * (1.0 + _TIE_RTOL)))
             best = float(psi[i])
             best_counts = counts[i]
     return best, best_counts

@@ -44,6 +44,7 @@ from .errors import (
     InfeasibleDesign,
     MalformedInput,
     NotAContrast,
+    NotConverged,
     NotInvariant,
     TooLarge,
     ZeroRow,
@@ -374,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--method", choices=("closed", "numeric", "auto"), default="auto")
     opt.add_argument("--tol", type=float, default=1e-8)
     opt.add_argument("--max-iter", type=int, default=10000)
-    opt.add_argument("--seed", type=int, default=0)
+    opt.add_argument("--seed", type=int, default=0, help="kept for interface stability; has no effect")
     opt.add_argument("--perm", default=None, help="one-line 1-indexed permutation, e.g. '2 1 3'")
     opt.set_defaults(handler=_cmd_optimize)
 
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
     except InfeasibleDesign as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return 3
+    except NotConverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     print(json.dumps(doc))
     return code
 

@@ -13,13 +13,18 @@ oriented toward a chosen set of roots, one root per component. Every
 non-root vertex is then the tail of exactly one edge, and the forest weight
 is the product of the vertex weights over those tails, i.e. over all
 non-root vertices.
+
+Both the explicit enumeration and the aggregated total walk the acyclic
+edge subsets by one include/exclude recursion, which keeps the chosen
+edges' union-find and adjacency up to date and calls a visitor at each
+subset; no graph is rebuilt per subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,60 +43,69 @@ class RootedForest:
     weight: float
 
 
-def _acyclic_subsets(edges: list[tuple[int, int]], v: int, size: int) -> Iterator[list[int]]:
-    """All acyclic edge subsets of the given size, by index, via include/exclude
-    recursion with a small union-find (no path compression, so undo is a
-    single assignment)."""
+def _acyclic_subsets(
+    edges: list[tuple[int, int]], v: int, size: int, leaf: Callable[[list[list[int]]], None]
+) -> None:
+    """Call ``leaf(adj)`` once for every acyclic subset of ``size`` edges.
+
+    Include/exclude recursion over the edges in index order, so subsets come
+    in lexicographic order of their edge indices. A small union-find (no
+    path compression, so undo is a single assignment) rejects edges that
+    would close a cycle. ``adj`` is the adjacency of the chosen edges,
+    extended and undone alongside the union-find, with every vertex's
+    neighbours in edge-index order; a leaf must not keep it.
+    """
     parent = list(range(v))
+    adj: list[list[int]] = [[] for _ in range(v)]
+    m = len(edges)
 
     def find(x: int) -> int:
         while parent[x] != x:
             x = parent[x]
         return x
 
-    chosen: list[int] = []
-
-    def rec(at: int, needed: int) -> Iterator[list[int]]:
+    def rec(start: int, needed: int) -> None:
         if needed == 0:
-            yield list(chosen)
+            leaf(adj)
             return
-        if len(edges) - at < needed:
-            return
-        a, b = edges[at]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append(at)
-            yield from rec(at + 1, needed - 1)
-            chosen.pop()
-            parent[ra] = ra
-        yield from rec(at + 1, needed)
+        for at in range(start, m - needed + 1):  # include ``at``, then go on without it
+            a, b = edges[at]
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                adj[a].append(b)
+                adj[b].append(a)
+                rec(at + 1, needed - 1)
+                adj[a].pop()
+                adj[b].pop()
+                parent[ra] = ra
 
-    yield from rec(0, size)
+    rec(0, size)
 
 
-def _components(v: int, edge_pairs: list[tuple[int, int]]):
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(v)]
-    for a, b in edge_pairs:
-        adj[a].append((b, a))
-        adj[b].append((a, b))
-    seen = [False] * v
+def _components(adj: list[list[int]]) -> list[list[int]]:
+    """Vertex lists of the components, ordered by smallest vertex, each in
+    depth-first order from that vertex."""
+    seen = [False] * len(adj)
     comps = []
-    for start in range(v):
+    for start in range(len(adj)):
         if seen[start]:
             continue
         stack = [start]
         seen[start] = True
         verts = [start]
         while stack:
-            u = stack.pop()
-            for nb, _ in adj[u]:
+            for nb in adj[stack.pop()]:
                 if not seen[nb]:
                     seen[nb] = True
                     verts.append(nb)
                     stack.append(nb)
         comps.append(verts)
-    return comps, adj
+    return comps
+
+
+def _undirected(graph: ComparisonGraph) -> list[tuple[int, int]]:
+    return [(min(a, b), max(a, b)) for a, b in graph.edges]
 
 
 def _check_bounds(graph: ComparisonGraph, k: int) -> None:
@@ -106,16 +120,16 @@ def rooted_forests(graph: ComparisonGraph, design: Design, k: int) -> Iterator[R
 
     Each forest's edges are re-oriented toward its root by a traversal and
     the weight is accumulated edge by edge; this is the slow, self-evident
-    path used to validate the aggregated total.
+    path used to validate the aggregated total. The forests are all built
+    before the first is returned.
     """
     _check_bounds(graph, k)
     alpha = 1.0 / design.w
-    undirected = [(min(a, b), max(a, b)) for a, b in graph.edges]
-    for subset in _acyclic_subsets(undirected, graph.v, graph.v - k):
-        pairs = [undirected[i] for i in subset]
-        comps, adj = _components(graph.v, pairs)
+    forests: list[RootedForest] = []
+
+    def leaf(adj: list[list[int]]) -> None:
         per_comp = []
-        for verts in comps:
+        for verts in _components(adj):
             options = []
             for root in verts:
                 oriented = []
@@ -124,7 +138,7 @@ def rooted_forests(graph: ComparisonGraph, design: Design, k: int) -> Iterator[R
                 visited = {root}
                 while stack:
                     u = stack.pop()
-                    for nb, _ in adj[u]:
+                    for nb in adj[u]:
                         if nb not in visited:
                             visited.add(nb)
                             oriented.append((nb, u))
@@ -133,12 +147,19 @@ def rooted_forests(graph: ComparisonGraph, design: Design, k: int) -> Iterator[R
                 options.append((root, tuple(oriented), weight))
             per_comp.append(options)
         for combo in product(*per_comp):
-            roots = tuple(sorted(c[0] for c in combo))
-            edges = tuple(e for c in combo for e in c[1])
             weight = 1.0
             for c in combo:
                 weight *= c[2]
-            yield RootedForest(roots=roots, edges=edges, weight=weight)
+            forests.append(
+                RootedForest(
+                    roots=tuple(sorted(c[0] for c in combo)),
+                    edges=tuple(e for c in combo for e in c[1]),
+                    weight=weight,
+                )
+            )
+
+    _acyclic_subsets(_undirected(graph), graph.v, graph.v - k, leaf)
+    return iter(forests)
 
 
 def _weight_total_from_alpha(graph: ComparisonGraph, alpha: np.ndarray, k: int) -> float:
@@ -149,20 +170,23 @@ def _weight_total_from_alpha(graph: ComparisonGraph, alpha: np.ndarray, k: int) 
     (prod_u alpha_u) * (sum_u 1/alpha_u), and components multiply.
     """
     _check_bounds(graph, k)
-    undirected = [(min(a, b), max(a, b)) for a, b in graph.edges]
+    alpha = [float(a) for a in alpha]
+    inverse = [1.0 / a for a in alpha]
     total = 0.0
-    for subset in _acyclic_subsets(undirected, graph.v, graph.v - k):
-        pairs = [undirected[i] for i in subset]
-        comps, _ = _components(graph.v, pairs)
+
+    def leaf(adj: list[list[int]]) -> None:
+        nonlocal total
         contribution = 1.0
-        for verts in comps:
+        for verts in _components(adj):
             prod_part = 1.0
             sum_part = 0.0
             for u in verts:
                 prod_part *= alpha[u]
-                sum_part += 1.0 / alpha[u]
+                sum_part += inverse[u]
             contribution *= prod_part * sum_part
         total += contribution
+
+    _acyclic_subsets(_undirected(graph), graph.v, graph.v - k, leaf)
     return total
 
 

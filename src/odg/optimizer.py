@@ -27,7 +27,7 @@ from .contrasts import ContrastSystem, rank_of
 from .criteria import CriterionValue, psi_p, validate_p
 from .spectral import Design, eigensystem_sym
 from .symmetry import OrbitReduction
-from .errors import DegenerateEigenspace, InfeasibleStart, TooLarge
+from .errors import DegenerateEigenspace, InfeasibleStart, NotConverged, TooLarge
 
 GRID_MAX_V = 4
 GRID_STEP_RANGE = (1e-3, 0.1)
@@ -124,12 +124,13 @@ def _orbit_average(orbits: OrbitReduction) -> Callable:
     return average
 
 
-def _descend(objective, w, floor, tol, max_iter, averager):
+def _descend(objective, w, floor, tol, max_iter, averager, p):
     """Projected gradient descent with Armijo backtracking.
 
     Returns (w, value, iterations, converged). A failed line search means no
     feasible decrease exists within machine resolution, which is treated as
-    convergence.
+    convergence. Raises ``NotConverged`` when the criterion value or its
+    gradient at the current point is not finite (it overflows at large -p).
     """
     value, grad = objective(w)
     if averager is not None:
@@ -138,6 +139,8 @@ def _descend(objective, w, floor, tol, max_iter, averager):
     iterations = 0
     converged = False
     while iterations < max_iter:
+        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+            raise NotConverged(f"the criterion or its gradient is not finite at p={p}")
         iterations += 1
         accepted = False
         t = step
@@ -212,7 +215,7 @@ def optimize_phi_p(
         while total_iterations < opts.max_iter:
             objective = _make_objective(gram, rank, p, temperature)
             w, _, used, converged = _descend(
-                objective, w, opts.floor, opts.tol, opts.max_iter - total_iterations, averager
+                objective, w, opts.floor, opts.tol, opts.max_iter - total_iterations, averager, p
             )
             total_iterations += used
             if temperature <= temperature_floor:
@@ -221,9 +224,10 @@ def optimize_phi_p(
         converged = converged and temperature <= temperature_floor
     else:
         objective = _make_objective(gram, rank, p, None)
-        w, _, total_iterations, converged = _descend(
-            objective, w, opts.floor, opts.tol, opts.max_iter, averager
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # large -p overflows; _descend reports it
+            w, _, total_iterations, converged = _descend(
+                objective, w, opts.floor, opts.tol, opts.max_iter, averager, p
+            )
 
     design = Design(w)
     criterion = psi_p(system, design, p, rank=rank)
@@ -276,9 +280,10 @@ def grid_oracle(
     """Exhaustive lattice minimizer of the criterion, for tiny systems.
 
     Scans every design with weights n_i * step (n_i >= 1) on the simplex;
-    steps that do not divide 1 exactly are rounded to the nearest 1/n. Ties
-    keep the lexicographically smallest weight vector. This is a brute-force
-    reference, independent of the descent machinery.
+    steps that do not divide 1 exactly are rounded to the nearest 1/n. Of
+    the designs whose value lies within a relative 1e-12 of the minimum, the
+    lexicographically smallest weight vector is returned. This is a
+    brute-force reference, independent of the descent machinery.
     """
     p = validate_p(p)
     if system.v > GRID_MAX_V:

@@ -157,6 +157,12 @@ class TestOptimize:
         assert code == 4
         assert doc["optimizer"]["converged"] is False
 
+    def test_overflowing_criterion_exits_4(self, tree7_csv, capsys):
+        code, doc, err = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", "-300")
+        assert code == 4 and doc is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_positive_p_rejected(self, tree7_csv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["optimize", "--q", tree7_csv, "--p", "0.5"])

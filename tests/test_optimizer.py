@@ -24,7 +24,7 @@ from odg import (
     psi_p,
     rank_of,
 )
-from odg.errors import DegenerateEigenspace, InfeasibleStart, TooLarge
+from odg.errors import DegenerateEigenspace, InfeasibleStart, NotConverged, TooLarge
 
 NEG_INF = float("-inf")
 
@@ -121,6 +121,11 @@ class TestOptimize:
         result = optimize_phi_p(paw_system, NEG_INF, OptimizeOptions(max_iter=3))
         assert not result.converged
         assert result.iterations <= 3
+
+    def test_overflowing_criterion_raises_not_converged(self, tree7):
+        # at p = -300 the criterion of the start point exceeds the float range
+        with pytest.raises(NotConverged, match="p=-300"):
+            optimize_phi_p(tree7, -300.0)
 
     def test_infeasible_start(self, paw_system):
         with pytest.raises(InfeasibleStart):
