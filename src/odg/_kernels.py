@@ -6,9 +6,12 @@ K(w) shares its positive eigenvalues with the s-by-s covariance matrix
 Q^T W^{-1} Q; for pairwise systems it is the vertex-weighted Laplacian.
 ``weighted_gram`` is the one place that scales G by a design and
 ``eigh_sym`` the one eigensolver (LAPACK). ``grid_scan``, the brute-force
-lattice scan, reads the same positive spectrum by a separate route: it
-factors G = F F^T once and eigensolves the r-by-r matrices F^T W^{-1} F,
-r = rank(G), never forming K(w).
+lattice scan, reads the same positive spectrum by a separate route: with
+G = F F^T (F v-by-r, r = rank(G)) it works on the r-by-r matrices
+M = F^T W^{-1} F, never forming K(w). At p = 0, -1 and -2 it needs no
+eigensolve at all: det M (Cauchy-Binet over the r-row minors of F), tr M
+and ||M||_F^2 are polynomials in 1/w with coefficients built once from F.
+At p = -inf and other p it eigensolves M.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-# Lattice designs handed to one batched eigensolve; bounds the scan's memory.
+# Lattice designs evaluated in one batch; bounds the scan's memory.
 _SCAN_CHUNK = 4096
 # Relative gap below which two lattice values count as tied.
 _TIE_RTOL = 1e-12
@@ -38,15 +41,45 @@ def eigh_sym(a):
     return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
 
 
+def _lattice_criterion(f, mode, qexp):
+    """psi at each row x = 1/w of a batch, for M(x) = F^T diag(x) F.
+
+    p = 0, -1 and -2 are polynomials in x whose coefficients are sums of
+    non-negative terms: det M = sum over r-subsets S of det(F_S)^2 prod_S x_i
+    (Cauchy-Binet), tr M = x . (row norms^2 of F) and
+    ||M||_F^2 = x^T ((F F^T) o (F F^T)) x. Other p eigensolve the r-by-r M.
+    """
+    v, r = f.shape
+    if mode == 0:
+        subsets = np.array(list(combinations(range(v), r)), dtype=np.int64)
+        minors = np.linalg.det(f[subsets]) ** 2
+        return lambda x: np.prod(x[:, subsets], axis=2) @ minors
+    if mode == 1 and qexp == 1.0:
+        norms = np.einsum("ij,ij->i", f, f)
+        return lambda x: x @ norms
+    if mode == 1 and qexp == 2.0:
+        hadamard = (f @ f.T) ** 2
+        return lambda x: np.einsum("ij,ij->i", x @ hadamard, x)
+    outer = (f[:, :, None] * f[:, None, :]).reshape(v, r * r)
+
+    def spectral(x):
+        top = np.linalg.eigvalsh((x @ outer).reshape(-1, r, r))
+        return top[:, -1] if mode == 2 else np.sum(top**qexp, axis=1)
+
+    return spectral
+
+
 def grid_scan(b, r, n, v, mode, qexp):
     """Scan every lattice design w = counts/n (counts positive, summing to n).
 
     ``b`` is the v-by-v Gram matrix of the coefficient rows and ``r`` its
     rank. It is factored once as F F^T with F = U_r diag(lambda_r)^{1/2}
-    (v-by-r, from the top r eigenpairs), so the r-by-r matrix
-    F^T W^{-1} F = sum_i f_i f_i^T / w_i carries exactly the r positive
-    eigenvalues of K(w). Each point's spectrum is reduced according to
-    ``mode`` (0: product, 1: sum of each to the power ``qexp``, 2: largest).
+    (v-by-r, from the top r eigenpairs), so the r-by-r matrix M = F^T W^{-1} F = sum_i f_i f_i^T / w_i carries exactly the r
+    positive eigenvalues of K(w), which ``mode`` reduces (0: product, 1: sum
+    of each to the power ``qexp``, 2: largest). The product (p = 0) and the
+    sums of first and second powers (p = -1, -2) are read from closed forms
+    in 1/w built once from F (see ``_lattice_criterion``); the largest
+    eigenvalue and other powers come from a batched r-by-r eigensolve.
 
     Designs are enumerated as v-1 cut positions in 1..n-1, in lexicographic
     order, which is also the lexicographic order of the counts. Returns the
@@ -56,7 +89,7 @@ def grid_scan(b, r, n, v, mode, qexp):
     """
     vals, vecs = eigh_sym(b)
     f = vecs[:, :r] * np.sqrt(vals[:r])
-    outer = (f[:, :, None] * f[:, None, :]).reshape(v, r * r)
+    criterion = _lattice_criterion(f, mode, qexp)
     best = np.inf
     best_counts = np.zeros(v, np.int64)
     cuts = combinations(range(1, n), v - 1)
@@ -68,13 +101,7 @@ def grid_scan(b, r, n, v, mode, qexp):
         edges[:, 1:v] = flat.reshape(-1, v - 1)
         edges[:, v] = n
         counts = np.diff(edges, axis=1)
-        top = np.linalg.eigvalsh(((n / counts) @ outer).reshape(-1, r, r))
-        if mode == 0:
-            psi = np.prod(top, axis=1)
-        elif mode == 1:
-            psi = np.sum(top**qexp, axis=1)
-        else:
-            psi = top[:, -1]
+        psi = criterion(n / counts)
         low = psi.min()
         # a later chunk displaces the kept point only when clearly lower
         if low < best * (1.0 - _TIE_RTOL):

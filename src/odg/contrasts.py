@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ class ContrastSystem:
 
     ``gram`` is the v-by-v Gram matrix q q^T, computed once here; every
     spectrum of the system is read from it (see ``_kernels.weighted_gram``).
+    ``gram_eigen`` is its eigendecomposition, made on first use and kept.
     """
 
     q: np.ndarray
@@ -54,6 +56,14 @@ class ContrastSystem:
         gram.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "gram", gram)
+
+    @cached_property
+    def gram_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of ``gram``: values descending, vectors in columns."""
+        eigen = eigh_sym(self.gram)
+        for a in eigen:
+            a.flags.writeable = False
+        return eigen
 
     @property
     def v(self) -> int:
@@ -253,12 +263,14 @@ def rank_of(system: ContrastSystem, tol: float | None = None) -> int:
 
     q q^T and q^T q share their positive eigenvalues, so the v-by-v Gram
     matrix gives the rank of any system, however many contrasts it has.
+    The eigenvalues are the system's ``gram_eigen``, made once per system,
+    so every later call is a count, at any tolerance.
     """
     if tol is None:
         tol = default_rank_tol()
     if tol <= 0:
         raise ValueError("rank tolerance must be positive")
-    vals, _ = eigh_sym(system.gram)
+    vals = system.gram_eigen[0]
     if vals[0] <= 0.0:
         return 0
     return int(np.count_nonzero(vals > tol * vals[0]))

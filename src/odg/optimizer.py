@@ -135,7 +135,9 @@ def _descend(objective, w, floor, tol, max_iter, averager, p):
     value, grad = objective(w)
     if averager is not None:
         grad = averager(grad)
-    step = 1.0 / max(float(np.linalg.norm(grad)), 1.0)
+    # hypot scales before squaring: the squares overflow once an entry
+    # passes 1e154, while the norm itself stays finite far beyond that
+    step = 1.0 / max(math.hypot(*grad), 1.0)
     iterations = 0
     converged = False
     while iterations < max_iter:
@@ -283,7 +285,10 @@ def grid_oracle(
     steps that do not divide 1 exactly are rounded to the nearest 1/n. Of
     the designs whose value lies within a relative 1e-12 of the minimum, the
     lexicographically smallest weight vector is returned. This is a
-    brute-force reference, independent of the descent machinery.
+    brute-force reference, independent of the descent machinery: with
+    G = F F^T it evaluates p = 0, -1 and -2 by closed forms in 1/w without
+    an eigensolve; p = -inf and other p eigensolve the r-by-r F^T W^{-1} F
+    (see ``_kernels.grid_scan``).
     """
     p = validate_p(p)
     if system.v > GRID_MAX_V:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
+import odg.contrasts
 from odg import (
     ComparisonGraph,
     ContrastSystem,
@@ -185,6 +186,20 @@ class TestIncidence:
 class TestRank:
     def test_tree7_full_rank(self, tree7):
         assert rank_of(tree7) == 6
+
+    def test_counts_cached_gram_eigenvalues(self, tree7, monkeypatch):
+        # the eigendecomposition is made once, on first use, and then kept
+        vals, vecs = tree7.gram_eigen
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve in rank_of")
+
+        monkeypatch.setattr(odg.contrasts, "eigh_sym", refuse)
+        assert rank_of(tree7) == 6
+        assert rank_of(tree7, 1e-300) == 6
+        assert tree7.gram_eigen[0] is vals
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.allclose((vecs * vals) @ vecs.T, tree7.gram, atol=1e-12)
 
     def test_centered_contrasts(self):
         assert rank_of(instances.centered_contrasts(3)) == 2

@@ -45,7 +45,7 @@ def _coarse_lattice_systems():
     ]
 
 
-@pytest.mark.parametrize("p", [0.0, -2.0, NEG_INF])
+@pytest.mark.parametrize("p", [0.0, -1.0, -2.0, -0.5, NEG_INF])
 @pytest.mark.parametrize("name,system", _coarse_lattice_systems())
 def test_grid_scan_matches_direct_evaluation(name, system, p):
     # every positive composition of n, each evaluated by psi_p on K(w)
@@ -83,3 +83,18 @@ def test_grid_scan_ties_survive_rescaling(p):
     _, counts = kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(p))
     _, scaled_counts = kernels.grid_scan(scaled @ scaled.T, 3, 100, 4, *scan_args(p))
     assert scaled_counts.tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, -2.0])
+def test_grid_scan_closed_forms_need_no_eigensolve(monkeypatch, p):
+    # p = 0, -1 and -2 are read from polynomials in 1/w, not from a spectrum
+    system = graph_system(instances.paw_graph())
+    expected = kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(p))[1].tolist()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(kernels.np.linalg, "eigvalsh", refuse)
+    _, counts = kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(p))
+    assert counts.tolist() == expected
+

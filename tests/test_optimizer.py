@@ -122,6 +122,15 @@ class TestOptimize:
         assert not result.converged
         assert result.iterations <= 3
 
+    @pytest.mark.parametrize("p", [-150.0, -200.0])
+    def test_huge_finite_gradient_still_descends(self, tree7, p):
+        # the gradient's entries are finite but the sum of their squares is
+        # not; the first step must not collapse to zero at the warm start
+        start = psi_p(tree7, a_optimal(tree7).design, p).psi
+        result = optimize_phi_p(tree7, p)
+        assert result.iterations > 1
+        assert result.criterion.psi < start
+
     def test_overflowing_criterion_raises_not_converged(self, tree7):
         # at p = -300 the criterion of the start point exceeds the float range
         with pytest.raises(NotConverged, match="p=-300"):

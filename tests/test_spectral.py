@@ -35,6 +35,7 @@ from odg.errors import (
     NotSymmetric,
     PreconditionViolated,
     RankDeficient,
+    ZeroRow,
 )
 
 SINGLE_EDGE = ComparisonGraph(2, ((1, 0),))
@@ -131,6 +132,11 @@ class TestLaplacian:
         assert np.allclose(np.diag(lap), [3.0, 6.0, 3.0])
         assert np.allclose(lap[0, 1], -3.0) and np.allclose(lap[1, 2], -3.0)
         assert lap[0, 2] == 0.0
+
+    def test_isolated_vertex_rejected(self):
+        # vertex 3 is in no comparison, so its Laplacian row would be zero
+        with pytest.raises(ZeroRow):
+            vertex_weighted_laplacian(ComparisonGraph(3, ((0, 1),)), Design.uniform(3))
 
     def test_trace_is_weighted_degree_total(self, rng):
         for _ in range(20):
