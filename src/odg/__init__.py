@@ -28,8 +28,6 @@ from .spectral import (
     eigensystem_sym,
     eigenvalues_sym,
     information_matrix,
-    moment_matrix,
-    pseudo_det,
     pseudo_information_matrix,
     vertex_weighted_laplacian,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "grid_oracle",
     "incidence_matrix",
     "information_matrix",
-    "moment_matrix",
     "optimize_phi_p",
     "orbit_reduction",
     "parse_contrast_matrix",
@@ -109,7 +106,6 @@ __all__ = [
     "permute_design",
     "project_floored_simplex",
     "project_simplex",
-    "pseudo_det",
     "pseudo_information_matrix",
     "psi_p",
     "psi_p_via_laplacian",

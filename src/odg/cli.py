@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from ._config import default_rank_tol
-from ._kernels import weighted_gram
 from .contrasts import (
     ContrastSystem,
     classify,
@@ -35,10 +34,10 @@ from .contrasts import (
     rank_of,
 )
 from .closed_form import a_optimal, d_optimal_uniform, e_optimal_bipartite
-from .criteria import CriterionValue, criterion_from_spectrum, psi_p, validate_p
+from .criteria import CriterionValue, _evaluate, psi_p, validate_p
 from .forests import verify_d_identity
-from .optimizer import OptimizeOptions, e_certificate, grid_oracle, optimize_phi_p
-from .spectral import Design, Spectrum, eigenvalues_sym
+from .optimizer import OptimizeOptions, grid_oracle, optimize_phi_p
+from .spectral import Design, Spectrum
 from .symmetry import Permutation, check_invariance, find_cyclic_invariance, orbit_reduction
 from .errors import (
     InfeasibleDesign,
@@ -129,18 +128,16 @@ def _report(command: str, inputs: dict, **parts) -> dict:
 def _cmd_eval(args) -> tuple[dict, int]:
     system = _load_system(args.q)
     design = _load_design(args.w, system.v)
-    rank = rank_of(system, args.rank_tol)
-    spectrum = eigenvalues_sym(weighted_gram(system.gram, design.w), args.rank_tol)
-    value = criterion_from_spectrum(spectrum, rank, args.p)
+    evaluation = _evaluate(system.gram, design.w, rank_of(system, args.rank_tol), args.p, args.rank_tol)
     extra = {}
     if detect_pairwise(system) is not None:
-        extra["laplacian_spectrum"] = [float(x) for x in spectrum.values]
+        extra["laplacian_spectrum"] = [float(x) for x in evaluation.spectrum.values]
     doc = _report(
         "eval",
         {"q": args.q, "w": args.w, "p": _format_p(args.p), "rank_tol": args.rank_tol or default_rank_tol()},
         design=[float(x) for x in design.w],
-        criterion=_criterion_doc(value),
-        spectrum=_spectrum_doc(spectrum, rank, system.s),
+        criterion=_criterion_doc(evaluation.criterion),
+        spectrum=_spectrum_doc(evaluation.spectrum, evaluation.rank, system.s),
         **extra,
     )
     return doc, 0
@@ -157,20 +154,16 @@ def _parse_perm_arg(text: str, v: int) -> Permutation:
 
 
 def _closed_form_for(system: ContrastSystem, p: float):
-    """Closed-form dispatch; returns (result, method) or (None, None)."""
+    """The closed-form optimum that applies at p, or None."""
     if p == -1.0:
-        result = a_optimal(system)
-        return result, result.method
+        return a_optimal(system)
     if p == -math.inf:
         graph = detect_pairwise(system)
         if graph is not None and classify(graph).bipartition is not None:
-            result = e_optimal_bipartite(graph)
-            return result, result.method
-        return None, None
-    if p == 0.0 and rank_of(system) == system.v - 1:
-        result = d_optimal_uniform(system)
-        return result, result.method
-    return None, None
+            return e_optimal_bipartite(graph)
+    elif p == 0.0 and rank_of(system) == system.v - 1:
+        return d_optimal_uniform(system)
+    return None
 
 
 def _cmd_optimize(args) -> tuple[dict, int]:
@@ -184,27 +177,23 @@ def _cmd_optimize(args) -> tuple[dict, int]:
         except NotInvariant as exc:
             raise _ExitWith(5, f"permutation rejected: {exc}") from None
 
-    closed, method = (None, None)
-    if args.method in ("closed", "auto"):
-        closed, method = _closed_form_for(system, args.p)
-        if closed is None and args.method == "closed":
-            raise _ExitWith(2, f"no closed form applies for p={_format_p(args.p)} on this system")
+    closed = _closed_form_for(system, args.p) if args.method in ("closed", "auto") else None
+    if closed is None and args.method == "closed":
+        raise _ExitWith(2, f"no closed form applies for p={_format_p(args.p)} on this system")
 
     if closed is not None:
-        design, criterion = closed.design, closed.criterion
-        iterations, converged = 0, True
-        certificate = e_certificate(system, design) if args.p == -math.inf else None
+        result, method, iterations, converged = closed, closed.method, 0, True
+        certificate = closed.evaluation.certificate() if args.p == -math.inf else None
     else:
         method = "numeric"
-        opts = OptimizeOptions(tol=args.tol, max_iter=args.max_iter, seed=args.seed, orbits=orbits)
+        opts = OptimizeOptions(tol=args.tol, max_iter=args.max_iter, orbits=orbits)
         result = optimize_phi_p(system, args.p, opts)
-        design, criterion, certificate = result.design, result.criterion, result.certificate
+        certificate = result.certificate
         iterations, converged = result.iterations, result.converged
         if not converged:
             exit_code = 4
             print("warning: optimizer did not converge within its budget", file=sys.stderr)
 
-    spectrum = eigenvalues_sym(weighted_gram(system.gram, design.w))
     doc = _report(
         "optimize",
         {
@@ -216,9 +205,9 @@ def _cmd_optimize(args) -> tuple[dict, int]:
             "seed": args.seed,
             "perm": args.perm,
         },
-        design=[float(x) for x in design.w],
-        criterion=_criterion_doc(criterion),
-        spectrum=_spectrum_doc(spectrum, criterion.rank, system.s),
+        design=[float(x) for x in result.design.w],
+        criterion=_criterion_doc(result.criterion),
+        spectrum=_spectrum_doc(result.evaluation.spectrum, result.evaluation.rank, system.s),
         certificate=_certificate_doc(certificate) if certificate else None,
         optimizer={"method": method, "iterations": iterations, "converged": converged},
     )
@@ -300,23 +289,18 @@ def _cmd_oracle(args) -> tuple[dict, int]:
         if args.p is None:
             raise _ExitWith(2, "grid mode requires --p")
         design = grid_oracle(system, args.p, args.grid_step)
-        rank = rank_of(system)
-        value = psi_p(system, design, args.p, rank=rank)
-        reference, method = _closed_form_for(system, args.p)
-        if reference is None:
-            result = optimize_phi_p(system, args.p)
-            ref_design, ref_value, method = result.design, result.criterion, "numeric"
-        else:
-            ref_design, ref_value = reference.design, reference.criterion
-        deviation = float(np.abs(design.w - ref_design.w).max())
+        value = psi_p(system, design, args.p)
+        reference = _closed_form_for(system, args.p)
+        method = "numeric" if reference is None else reference.method
+        reference = reference or optimize_phi_p(system, args.p)
         oracle = {
             "mode": "grid",
             "step": args.grid_step,
             "psi": value.psi,
             "reference_method": method,
-            "reference_design": [float(x) for x in ref_design.w],
-            "reference_psi": ref_value.psi,
-            "max_coord_dev": deviation,
+            "reference_design": [float(x) for x in reference.design.w],
+            "reference_psi": reference.criterion.psi,
+            "max_coord_dev": float(np.abs(design.w - reference.design.w).max()),
         }
         doc = _report(
             "oracle",

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .contrasts import ComparisonGraph, ContrastSystem, classify, graph_system, rank_of
-from .criteria import CriterionValue, psi_p
+from .criteria import CriterionValue, _evaluate, _Evaluation
 from .errors import NotBipartite, RankTooLow
 from .spectral import Design
 
@@ -27,8 +27,15 @@ from .spectral import Design
 class ClosedFormResult:
     design: Design
     criterion: CriterionValue
+    evaluation: _Evaluation  # the design's one eigendecomposition of K(w)
     method: str  # a_general | e_bipartite | d_uniform
     eigvec: Optional[np.ndarray] = None
+
+
+def a_optimal_weights(system: ContrastSystem) -> np.ndarray:
+    """Row norms of the coefficient matrix, normalized to sum to one."""
+    norms = np.sqrt(np.sum(system.q * system.q, axis=1))
+    return norms / norms.sum()
 
 
 def a_optimal(system: ContrastSystem) -> ClosedFormResult:
@@ -36,14 +43,9 @@ def a_optimal(system: ContrastSystem) -> ClosedFormResult:
 
     This is the unique minimizer over the open simplex.
     """
-    norms = np.sqrt(np.sum(system.q * system.q, axis=1))
-    design = Design(norms / norms.sum())
-    rank = rank_of(system)
-    return ClosedFormResult(
-        design=design,
-        criterion=psi_p(system, design, -1.0, rank=rank),
-        method="a_general",
-    )
+    design = Design(a_optimal_weights(system))
+    evaluation = _evaluate(system.gram, design.w, rank_of(system), -1.0)
+    return ClosedFormResult(design, evaluation.criterion, evaluation, "a_general")
 
 
 def a_optimal_pairwise(graph: ComparisonGraph) -> ClosedFormResult:
@@ -76,8 +78,8 @@ def e_optimal_bipartite(graph: ComparisonGraph) -> ClosedFormResult:
     residual = system.q.T @ ((system.q @ h) / design.w) - target * h
     if float(np.linalg.norm(residual)) > 1e-8 * target:
         raise RuntimeError("degree-rule eigenvector failed its residual check")
-    criterion = psi_p(system, design, -np.inf, rank=rank_of(system))
-    return ClosedFormResult(design=design, criterion=criterion, method="e_bipartite", eigvec=h)
+    evaluation = _evaluate(system.gram, design.w, rank_of(system), -np.inf)
+    return ClosedFormResult(design, evaluation.criterion, evaluation, "e_bipartite", eigvec=h)
 
 
 def d_optimal_uniform(system: ContrastSystem, rank_tol: float | None = None) -> ClosedFormResult:
@@ -91,8 +93,5 @@ def d_optimal_uniform(system: ContrastSystem, rank_tol: float | None = None) -> 
     if rank < system.v - 1:
         raise RankTooLow(f"rank {rank} < v-1 = {system.v - 1}; uniform optimality is not guaranteed")
     design = Design.uniform(system.v)
-    return ClosedFormResult(
-        design=design,
-        criterion=psi_p(system, design, 0.0, rank=rank, rank_tol=rank_tol),
-        method="d_uniform",
-    )
+    evaluation = _evaluate(system.gram, design.w, rank, 0.0, rank_tol)
+    return ClosedFormResult(design, evaluation.criterion, evaluation, "d_uniform")

@@ -13,6 +13,10 @@ p = 0, -1, -inf give the classical D-, A- and E-criteria. Smaller psi is
 better; phi is the equivalent maximization form with phi = psi^(-1/r) at
 p = 0, phi = (psi/r)^(1/p) for finite p < 0, and phi = 1/psi at p = -inf.
 
+Each design is eigensolved once, into an ``_Evaluation`` of K(w) that the
+reported criterion and spectrum, the descent and the E-certificate all read;
+one rule per p (``_reduce``) gives the value and the gradient's coefficients.
+
 Pass p = -inf as ``float("-inf")``; it is handled as a distinct code path,
 never as a numerical limit of the finite-p formula.
 """
@@ -20,14 +24,16 @@ never as a numerical limit of the finite-p formula.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._kernels import weighted_gram
 from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
-from .spectral import Design, Spectrum, eigenvalues_sym
-from .errors import NonPositiveEigenvalue
+from .spectral import Design, Spectrum, eigensystem_sym
+from .errors import DegenerateEigenspace, NonPositiveEigenvalue
 
 
 @dataclass(frozen=True)
@@ -38,11 +44,48 @@ class CriterionValue:
     rank: int
 
 
+@dataclass(frozen=True)
+class CertificateReport:
+    """Largest-eigenvalue optimality certificate.
+
+    lhs_max is the worst value of the linear normality form over the vertex
+    designs, rhs the largest covariance eigenvalue; the design is certified
+    optimal when gap = lhs_max - rhs is nonpositive up to tolerance.
+    """
+
+    lhs_max: float
+    rhs: float
+    gap: float
+    witness_vertex: int
+
+
 def validate_p(p: float) -> float:
     p = float(p)
     if math.isnan(p) or p > 0.0:
         raise ValueError(f"criterion exponent must lie in [-inf, 0], got {p}")
     return p
+
+
+def _reduce(top: np.ndarray, p: float, temperature: float | None = None):
+    """The criterion's value at the descending eigenvalues ``top``, and the
+    coefficients c of its gradient.
+
+    The value is log psi at p = 0, psi otherwise, and the log-sum-exp
+    smoothing of the largest eigenvalue at a temperature. As
+    d lambda_j / d w_i = -lambda_j u_ij^2 / w_i for the unit eigenvectors
+    u_j of K(w), d value / d w_i = -sum_j c_j u_ij^2 / w_i.
+    """
+    if temperature is not None:
+        weights = np.exp((top - top[0]) / temperature)
+        total = weights.sum()
+        return top[0] + temperature * math.log(total), weights / total * top
+    if p == -math.inf:
+        return float(top[0]), top[:1]
+    if p == 0.0:
+        return float(np.sum(np.log(top))), np.ones(top.size)
+    q = -p
+    powers = top**q
+    return float(np.sum(powers)), q * powers
 
 
 def criterion_from_spectrum(spectrum: Spectrum, rank: int, p: float) -> CriterionValue:
@@ -55,17 +98,74 @@ def criterion_from_spectrum(spectrum: Spectrum, rank: int, p: float) -> Criterio
         raise NonPositiveEigenvalue(
             f"eigenvalue {top.min()!r} among the {rank} largest is not above {spectrum.tol!r}"
         )
+    value, _ = _reduce(top, p)
     if p == -math.inf:
-        psi = float(top[0])
-        phi = 1.0 / psi
-    elif p == 0.0:
-        log_psi = float(np.sum(np.log(top)))
-        psi = math.exp(log_psi)
-        phi = math.exp(-log_psi / rank)
-    else:
-        psi = float(np.sum(top ** (-p)))
-        phi = (psi / rank) ** (1.0 / p)
-    return CriterionValue(p=p, psi=psi, phi=phi, rank=rank)
+        return CriterionValue(p=p, psi=value, phi=1.0 / value, rank=rank)
+    if p == 0.0:  # value is log psi
+        return CriterionValue(p=p, psi=math.exp(value), phi=math.exp(-value / rank), rank=rank)
+    return CriterionValue(p=p, psi=value, phi=(value / rank) ** (1.0 / p), rank=rank)
+
+
+@dataclass(eq=False)
+class _Evaluation:
+    """All v eigenpairs of K(w) at a design, descending, read at p.
+
+    ``value`` and ``gradient`` reduce the top ``rank`` (all v when smoothed)
+    unchecked, so the descent can evaluate any iterate; ``criterion`` checks
+    them against ``spectrum``, which a descent iterate goes without.
+    """
+
+    gram: np.ndarray
+    w: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    rank: int
+    p: float
+    temperature: float | None = None
+    spectrum: Spectrum | None = None
+
+    @cached_property
+    def _reduction(self) -> tuple[float, np.ndarray]:
+        top = self.values if self.temperature is not None else self.values[: self.rank]
+        return _reduce(top, self.p, self.temperature)
+
+    @property
+    def value(self) -> float:
+        return self._reduction[0]
+
+    def gradient(self) -> np.ndarray:
+        coef = self._reduction[1]
+        sq = self.vectors * self.vectors
+        return -(sq[:, : coef.size] @ coef) / self.w
+
+    @property
+    def criterion(self) -> CriterionValue:
+        return criterion_from_spectrum(self.spectrum, self.rank, self.p)
+
+    def certificate(self) -> CertificateReport:
+        """The rank-one E-certificate (see ``optimizer.e_certificate``).
+
+        With u the unit eigenvector of K(w)'s top eigenvalue lambda,
+        q h = gram diag(w)^{-1/2} u / sqrt(lambda); h's sign does not matter.
+        """
+        top = float(self.values[0])
+        if self.values[0] - self.values[1] <= 1e-8 * max(top, 1e-300):
+            warnings.warn(
+                "largest eigenvalue has numerical multiplicity > 1; "
+                "the rank-one certificate may fail to certify an optimal design",
+                DegenerateEigenspace,
+            )
+        qh = self.gram @ (self.vectors[:, 0] / np.sqrt(self.w)) / math.sqrt(top)
+        vertex_values = (qh / self.w) ** 2
+        witness = int(np.argmax(vertex_values))
+        lhs_max = float(vertex_values[witness])
+        return CertificateReport(lhs_max=lhs_max, rhs=top, gap=lhs_max - top, witness_vertex=witness)
+
+
+def _evaluate(gram: np.ndarray, w: np.ndarray, rank: int, p: float, rank_tol: float | None = None) -> _Evaluation:
+    """Eigensolve K(w) once, through ``eigensystem_sym``, to be read at p."""
+    spectrum, vectors = eigensystem_sym(weighted_gram(gram, w), rank_tol)
+    return _Evaluation(gram, w, spectrum.values, vectors, rank, validate_p(p), spectrum=spectrum)
 
 
 def psi_p(
@@ -82,8 +182,7 @@ def psi_p(
     """
     if rank is None:
         rank = rank_of(system, rank_tol)
-    spectrum = eigenvalues_sym(weighted_gram(system.gram, design.w), rank_tol)
-    return criterion_from_spectrum(spectrum, rank, p)
+    return _evaluate(system.gram, design.w, rank, p, rank_tol).criterion
 
 
 def psi_p_via_laplacian(

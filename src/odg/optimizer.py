@@ -7,27 +7,28 @@ nonsmooth largest-eigenvalue criterion (p = -inf) is minimized through a
 log-sum-exp smoothing of the spectrum whose temperature is annealed toward
 zero, finishing with a polish pass at the final temperature.
 
+Each iterate is one eigendecomposition of K(w), a ``criteria._Evaluation``;
+the returned design is the last accepted iterate, read without another.
+
 Everything is deterministic: fixed initialization, fixed sweep orders, no
-randomized restarts. The ``seed`` option is accepted for interface stability
-but the iterate sequence does not depend on it.
+randomized restarts.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._kernels import eigh_sym, grid_scan, weighted_gram
-from .closed_form import a_optimal
+from .closed_form import a_optimal_weights
 from .contrasts import ContrastSystem, rank_of
-from .criteria import CriterionValue, psi_p, validate_p
-from .spectral import Design, eigensystem_sym
+from .criteria import CertificateReport, CriterionValue, _evaluate, _Evaluation, validate_p
+from .spectral import Design, spectrum_of
 from .symmetry import OrbitReduction
-from .errors import DegenerateEigenspace, InfeasibleStart, NotConverged, TooLarge
+from .errors import InfeasibleStart, NotConverged, TooLarge
 
 GRID_MAX_V = 4
 GRID_STEP_RANGE = (1e-3, 0.1)
@@ -38,30 +39,15 @@ class OptimizeOptions:
     tol: float = 1e-8          # stop when the relative criterion decrease falls below this
     max_iter: int = 10000      # global iteration budget
     floor: float = 1e-9        # minimum weight kept strictly positive
-    seed: int = 0              # reserved; the algorithm is deterministic
     init: Optional[np.ndarray] = None
     orbits: Optional[OrbitReduction] = None
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Largest-eigenvalue optimality certificate.
-
-    lhs_max is the worst value of the linear normality form over the vertex
-    designs, rhs the largest covariance eigenvalue; the design is certified
-    optimal when gap = lhs_max - rhs is nonpositive up to tolerance.
-    """
-
-    lhs_max: float
-    rhs: float
-    gap: float
-    witness_vertex: int
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
     design: Design
     criterion: CriterionValue
+    evaluation: _Evaluation  # the design's one eigendecomposition of K(w)
     iterations: int
     converged: bool
     certificate: Optional[CertificateReport] = None
@@ -86,33 +72,6 @@ def project_floored_simplex(x: np.ndarray, floor: float) -> np.ndarray:
     return floor + scale * project_simplex((x - floor) / scale)
 
 
-def _make_objective(gram: np.ndarray, rank: int, p: float, temperature: float | None) -> Callable:
-    def objective(w: np.ndarray):
-        # K(w) shares its positive spectrum with the covariance matrix, and
-        # the eigenvalue derivative has the closed form
-        # d lambda_j / d w_i = -lambda_j * u_{ij}^2 / w_i
-        vals, vecs = eigh_sym(weighted_gram(gram, w))
-        sq = vecs * vecs
-        if temperature is not None:
-            shifted = (vals - vals[0]) / temperature
-            weights_raw = np.exp(shifted)
-            softmax = weights_raw / weights_raw.sum()
-            value = vals[0] + temperature * math.log(weights_raw.sum())
-            grad = -(sq @ (softmax * vals)) / w
-        elif p == 0.0:
-            top = vals[:rank]
-            value = float(np.sum(np.log(top)))
-            grad = -(sq[:, :rank] @ np.ones(rank)) / w
-        else:
-            q = -p
-            powers = vals[:rank] ** q
-            value = float(np.sum(powers))
-            grad = -q * (sq[:, :rank] @ powers) / w
-        return value, grad
-
-    return objective
-
-
 def _orbit_average(orbits: OrbitReduction) -> Callable:
     labels = np.asarray(orbits.orbit_of)
     counts = np.bincount(labels, minlength=orbits.orbit_count).astype(np.float64)
@@ -124,48 +83,49 @@ def _orbit_average(orbits: OrbitReduction) -> Callable:
     return average
 
 
-def _descend(objective, w, floor, tol, max_iter, averager, p):
-    """Projected gradient descent with Armijo backtracking.
+def _descend(current, evaluate, floor, tol, max_iter, averager, p):
+    """Projected gradient descent with Armijo backtracking from the evaluation
+    ``current``; ``evaluate`` maps a point to its evaluation.
 
-    Returns (w, value, iterations, converged). A failed line search means no
-    feasible decrease exists within machine resolution, which is treated as
-    convergence. Raises ``NotConverged`` when the criterion value or its
-    gradient at the current point is not finite (it overflows at large -p).
+    Returns (last accepted evaluation, iterations, converged). A failed line
+    search means no feasible decrease exists within machine resolution,
+    which is treated as convergence. Raises ``NotConverged`` when the
+    criterion value or its gradient at the current point is not finite (it
+    overflows at large -p).
     """
-    value, grad = objective(w)
-    if averager is not None:
-        grad = averager(grad)
+    grad = averager(current.gradient())
     # hypot scales before squaring: the squares overflow once an entry
     # passes 1e154, while the norm itself stays finite far beyond that
     step = 1.0 / max(math.hypot(*grad), 1.0)
     iterations = 0
     converged = False
     while iterations < max_iter:
+        value = current.value
         if not (math.isfinite(value) and np.all(np.isfinite(grad))):
             raise NotConverged(f"the criterion or its gradient is not finite at p={p}")
         iterations += 1
         accepted = False
         t = step
         for _ in range(60):
-            candidate = project_floored_simplex(w - t * grad, floor)
-            direction = candidate - w
-            cand_value, cand_grad = objective(candidate)
-            if cand_value <= value + 1e-4 * float(grad @ direction):
+            candidate = project_floored_simplex(current.w - t * grad, floor)
+            direction = candidate - current.w
+            trial = evaluate(candidate)
+            if trial.value <= value + 1e-4 * float(grad @ direction):
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             converged = True
             break
-        decrease = value - cand_value
+        decrease = value - trial.value
         relative = decrease / max(abs(value), 1e-300)
-        w, value = candidate, cand_value
-        grad = averager(cand_grad) if averager is not None else cand_grad
+        current = trial
+        grad = averager(trial.gradient())
         step = 2.0 * t
         if relative < tol:
             converged = True
             break
-    return w, value, iterations, converged
+    return current, iterations, converged
 
 
 def _initial_point(system: ContrastSystem, p: float, opts: OptimizeOptions) -> np.ndarray:
@@ -177,7 +137,7 @@ def _initial_point(system: ContrastSystem, p: float, opts: OptimizeOptions) -> n
             raise InfeasibleStart("initial weights must be strictly positive")
         return w0 / w0.sum()
     if p < -1.0:  # warm start: the trace-criterion optimum is closed form
-        return a_optimal(system).design.w.copy()
+        return a_optimal_weights(system)
     return np.full(system.v, 1.0 / system.v)
 
 
@@ -190,16 +150,16 @@ def optimize_phi_p(
 
     Finite p (including 0) runs plain projected gradient descent; p = -inf
     anneals the smoothing temperature from 0.1 * lambda_max down by factors
-    of 5 to a 1e-9 relative floor, then polishes. The result's criterion is
-    re-evaluated from the returned design. ``converged`` reports whether the
-    final descent met the tolerance within the iteration budget.
+    of 5 to a 1e-9 relative floor, then polishes. The result's criterion and
+    certificate read the last iterate's evaluation. ``converged`` reports
+    whether the final descent met the tolerance within the iteration budget.
     """
     p = validate_p(p)
     opts = opts or OptimizeOptions()
     gram = system.gram
     rank = rank_of(system)
     w = _initial_point(system, p, opts)
-    averager = None
+    averager = np.asarray  # no orbits: the gradient as it is
     if opts.orbits is not None:
         if len(opts.orbits.orbit_of) != system.v:
             raise ValueError("orbit reduction does not match the system size")
@@ -207,17 +167,25 @@ def optimize_phi_p(
         w = averager(w)
     w = project_floored_simplex(w, opts.floor)
 
+    def evaluate(x, temperature=None):
+        # K(w) is symmetric by construction, so an iterate skips the checks
+        # and Spectrum of eigensystem_sym, which at small v cost as much
+        values, vectors = eigh_sym(weighted_gram(gram, x))
+        return _Evaluation(gram, x, values, vectors, rank, p, temperature)
+
     total_iterations = 0
     if p == -math.inf:
-        lam0, _ = eigh_sym(weighted_gram(gram, w))
-        scale = float(lam0[0])
+        # each temperature starts from the last design's eigendecomposition
+        final = evaluate(w)
+        scale = final.value
         temperature = 0.1 * scale
         temperature_floor = 1e-9 * scale
         converged = False
         while total_iterations < opts.max_iter:
-            objective = _make_objective(gram, rank, p, temperature)
-            w, _, used, converged = _descend(
-                objective, w, opts.floor, opts.tol, opts.max_iter - total_iterations, averager, p
+            final, used, converged = _descend(
+                replace(final, temperature=temperature),
+                lambda x: evaluate(x, temperature),
+                opts.floor, opts.tol, opts.max_iter - total_iterations, averager, p,
             )
             total_iterations += used
             if temperature <= temperature_floor:
@@ -225,21 +193,19 @@ def optimize_phi_p(
             temperature = max(temperature / 5.0, temperature_floor)
         converged = converged and temperature <= temperature_floor
     else:
-        objective = _make_objective(gram, rank, p, None)
         with np.errstate(over="ignore", invalid="ignore"):  # large -p overflows; _descend reports it
-            w, _, total_iterations, converged = _descend(
-                objective, w, opts.floor, opts.tol, opts.max_iter, averager, p
+            final, total_iterations, converged = _descend(
+                evaluate(w), evaluate, opts.floor, opts.tol, opts.max_iter, averager, p
             )
 
-    design = Design(w)
-    criterion = psi_p(system, design, p, rank=rank)
-    certificate = e_certificate(system, design) if p == -math.inf else None
+    final = replace(final, temperature=None, spectrum=spectrum_of(final.values))
     return OptimizationResult(
-        design=design,
-        criterion=criterion,
+        design=Design(final.w),
+        criterion=final.criterion,
+        evaluation=final,
         iterations=total_iterations,
         converged=converged,
-        certificate=certificate,
+        certificate=final.certificate() if p == -math.inf else None,
     )
 
 
@@ -251,26 +217,10 @@ def e_certificate(system: ContrastSystem, design: Design) -> CertificateReport:
     in the competing design, so its maximum over all feasible designs is
     attained at a vertex design: lhs_max = max_i ((q h)_i / w_i)^2. The
     design is certified optimal when lhs_max does not exceed the largest
-    covariance eigenvalue lambda.
-
-    Both come from K(w): lambda is its top eigenvalue, and with u the
-    matching unit eigenvector, h = q^T diag(w)^{-1/2} u / sqrt(lambda), so
-    q h = gram diag(w)^{-1/2} u / sqrt(lambda). The sign of h does not
-    enter lhs_max.
+    covariance eigenvalue lambda. Both are read from one eigendecomposition
+    of K(w) (see ``criteria._Evaluation.certificate``).
     """
-    spectrum, vecs = eigensystem_sym(weighted_gram(system.gram, design.w))
-    top = float(spectrum.values[0])
-    if spectrum.values[0] - spectrum.values[1] <= 1e-8 * max(top, 1e-300):
-        warnings.warn(
-            "largest eigenvalue has numerical multiplicity > 1; "
-            "the rank-one certificate may fail to certify an optimal design",
-            DegenerateEigenspace,
-        )
-    qh = system.gram @ (vecs[:, 0] / np.sqrt(design.w)) / math.sqrt(top)
-    vertex_values = (qh / design.w) ** 2
-    witness = int(np.argmax(vertex_values))
-    lhs_max = float(vertex_values[witness])
-    return CertificateReport(lhs_max=lhs_max, rhs=top, gap=lhs_max - top, witness_vertex=witness)
+    return _evaluate(system.gram, design.w, rank_of(system), -math.inf).certificate()
 
 
 def grid_oracle(

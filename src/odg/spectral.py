@@ -1,13 +1,15 @@
-"""Designs, moment and information matrices, and the spectral kernel.
+"""Designs, information matrices and the spectral kernel.
 
 A design is a strictly positive weight vector on the treatments summing to
-one. Its moment matrix is diag(w); the covariance matrix of a contrast
-system under the design is q^T diag(w)^{-1} q, and the information matrix is
-its inverse (Moore-Penrose pseudo-inverse in the rank-deficient case).
+one. The covariance matrix of a contrast system under the design is
+q^T diag(w)^{-1} q, and the information matrix is its inverse (Moore-Penrose
+pseudo-inverse in the rank-deficient case).
 
 The covariance matrix is s-by-s, but its positive eigenvalues are those of
 the v-by-v matrix K(w) = diag(w)^{-1/2} q q^T diag(w)^{-1/2}, which is how
-every criterion, rank and certificate in the package reads them. For a
+every criterion, rank and certificate in the package reads them; each design
+is eigensolved once, as K(w). The information matrices come from the same
+v-by-v eigendecomposition, so no s-by-s matrix is ever eigensolved. For a
 pairwise system K(w) is the vertex-weighted Laplacian of the comparison
 graph with vertex weights 1/w_i.
 """
@@ -23,7 +25,6 @@ from ._kernels import eigh_sym, weighted_gram
 from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
 from .errors import (
     InfeasibleDesign,
-    NonPositiveEigenvalue,
     NotSymmetric,
     PreconditionViolated,
     RankDeficient,
@@ -89,10 +90,6 @@ class Spectrum:
         return self.values[:r]
 
 
-def moment_matrix(design: Design) -> np.ndarray:
-    return np.diag(design.w)
-
-
 def covariance_matrix(system: ContrastSystem, design: Design) -> np.ndarray:
     """q^T diag(w)^{-1} q: covariance kernel of the contrast estimators."""
     return (system.q.T / design.w) @ system.q
@@ -110,11 +107,15 @@ def eigensystem_sym(m: np.ndarray, rank_tol: float | None = None):
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
+    vals, vecs = eigh_sym(m)
+    return spectrum_of(vals, rank_tol), vecs
+
+
+def spectrum_of(values: np.ndarray, rank_tol: float | None = None) -> Spectrum:
+    """Descending eigenvalues with the positivity threshold ``rank_tol`` times the largest."""
     if rank_tol is None:
         rank_tol = default_rank_tol()
-    vals, vecs = eigh_sym(m)
-    tol = rank_tol * max(float(vals[0]), 0.0)
-    return Spectrum(vals, tol), vecs
+    return Spectrum(values, rank_tol * max(float(values[0]), 0.0))
 
 
 def eigenvalues_sym(m: np.ndarray, rank_tol: float | None = None) -> Spectrum:
@@ -127,21 +128,21 @@ def information_matrix(system: ContrastSystem, design: Design, rank_tol: float |
     r = rank_of(system, rank_tol)
     if r < system.s:
         raise RankDeficient(f"system has rank {r} < s={system.s}; use pseudo_information_matrix")
-    spectrum, vecs = eigensystem_sym(covariance_matrix(system, design), rank_tol)
-    return (vecs / spectrum.values) @ vecs.T
+    return pseudo_information_matrix(system, design, rank_tol)
 
 
 def pseudo_information_matrix(system: ContrastSystem, design: Design, rank_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose analogue of the information matrix for any rank.
 
-    Eigenvalues above the positivity threshold are inverted; the rest are
-    zeroed.
+    With H = diag(w)^{-1/2} q the covariance matrix is H^T H and
+    K(w) = H H^T = U diag(lam) U^T, so its pseudo-inverse is
+    H^T U_r diag(lam_r)^{-2} U_r^T H over the r eigenvalues of K(w) above
+    the positivity threshold.
     """
-    spectrum, vecs = eigensystem_sym(covariance_matrix(system, design), rank_tol)
-    inv = np.zeros_like(spectrum.values)
-    positive = spectrum.values > spectrum.tol
-    inv[positive] = 1.0 / spectrum.values[positive]
-    return (vecs * inv) @ vecs.T
+    spectrum, vecs = eigensystem_sym(weighted_gram(system.gram, design.w), rank_tol)
+    r = spectrum.positive_count
+    uh = vecs[:, :r].T @ (system.q / np.sqrt(design.w)[:, None])
+    return (uh.T / spectrum.values[:r] ** 2) @ uh
 
 
 def vertex_weighted_laplacian(graph: ComparisonGraph, design: Design) -> np.ndarray:
@@ -153,18 +154,6 @@ def vertex_weighted_laplacian(graph: ComparisonGraph, design: Design) -> np.ndar
     if design.v != graph.v:
         raise InfeasibleDesign(f"design has {design.v} weights for a graph on {graph.v} vertices")
     return weighted_gram(graph_system(graph).gram, design.w)
-
-
-def pseudo_det(spectrum: Spectrum, r: int) -> float:
-    """Product of the r largest eigenvalues; they must all be positive."""
-    if not 0 <= r <= spectrum.values.size:
-        raise ValueError(f"r={r} out of range for spectrum of length {spectrum.values.size}")
-    top = spectrum.top(r)
-    if np.any(top <= spectrum.tol):
-        raise NonPositiveEigenvalue(
-            f"eigenvalue {top.min()!r} among the {r} largest is not above {spectrum.tol!r}"
-        )
-    return float(np.prod(top))
 
 
 def cofactor_minor(m: np.ndarray, i: int, j: int) -> float:

@@ -289,3 +289,51 @@ class TestExportDot:
         q.write_text("\n".join(repr(float(row[0])) for row in rows))
         code, _, _ = run_cli(capsys, "export-dot", "--q", str(q), "-o", str(tmp_path / "g.dot"))
         assert code == 2
+
+
+class TestEigensolveBudget:
+    """Each reported design is eigensolved once, as K(w), after the Gram matrix."""
+
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        import sys
+
+        import odg._kernels
+
+        orders = []
+        original = odg._kernels.eigh_sym
+
+        def counting(a):
+            orders.append(np.asarray(a).shape[0])
+            return original(a)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "odg" or name.startswith("odg.")) and getattr(module, "eigh_sym", None) is original:
+                monkeypatch.setattr(module, "eigh_sym", counting)
+        return orders
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--q", "tree7", "--p", "-1"),
+            ("optimize", "--q", "k4", "--p", "0"),
+            ("optimize", "--q", "tree7", "--p", "neg-inf"),  # the bipartite E-rule and its certificate
+            ("eval", "--q", "tree7", "--w", "w", "--p", "-2"),
+        ],
+        ids=["a-closed-form", "d-closed-form", "e-bipartite", "eval"],
+    )
+    def test_gram_then_one_k(self, argv, tmp_path, tree7_csv, capsys, eigensolves):
+        k4 = tmp_path / "k4.edges"
+        k4.write_text("v=4\n" + "".join(f"{j} {i}\n" for i in range(1, 5) for j in range(i + 1, 5)))
+        files = {"tree7": tree7_csv, "k4": str(k4), "w": write_weights(tmp_path, "w.csv", np.arange(1, 8) / 28.0)}
+        code, doc, _ = run_cli(capsys, *(files.get(arg, arg) for arg in argv))
+        assert code == 0
+        assert doc["criterion"] is not None
+        assert len(eigensolves) == 2  # the Gram matrix, then K(w)
+
+    def test_pseudo_information_matrix_stays_vertex_sized(self, rng, eigensolves):
+        from odg import pseudo_information_matrix
+
+        system = instances.random_contrast_system(rng, 6, 15)
+        pseudo_information_matrix(system, instances.random_design(rng, 6))
+        assert eigensolves and max(eigensolves) <= system.v

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from odg import (
     rank_of,
     validate_p,
 )
+from odg.criteria import _evaluate
 from odg.symmetry import Permutation
 
 NEG_INF = float("-inf")
@@ -162,3 +164,26 @@ def test_rank_passed_explicitly_controls_reduction():
     assert math.isclose(psi_p(system, w, 0.0, rank=2).psi, 9.0, rel_tol=1e-12)
     with pytest.raises(Exception):
         psi_p(system, w, 0.0, rank=3)  # third eigenvalue is zero
+
+
+@pytest.mark.parametrize(
+    "p, temperature", [(0.0, None), (-0.5, None), (-2.0, None), (NEG_INF, 0.1)], ids=["0", "-0.5", "-2", "smoothed-inf"]
+)
+def test_reduction_gradient_matches_central_differences(tree7, rng, p, temperature):
+    # the descent's gradient -sum_j c_j u_ij^2 / w_i against its own value,
+    # on a full-rank tree and a rank-deficient (rank 3 < v-1) general system
+    for system in (tree7, instances.random_contrast_system(rng, 8, 3)):
+        rank = rank_of(system)
+        w = instances.random_design(rng, system.v).w
+        t = None if temperature is None else temperature * _evaluate(system.gram, w, rank, p).values[0]
+
+        def evaluate(x):
+            return replace(_evaluate(system.gram, x, rank, p), temperature=t)
+
+        fd = np.empty(system.v)
+        for i in range(system.v):
+            h = np.zeros(system.v)
+            h[i] = 1e-6 * w[i]
+            fd[i] = (evaluate(w + h).value - evaluate(w - h).value) / (2.0 * h[i])
+        grad = evaluate(w).gradient()
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8 * np.abs(grad).max())

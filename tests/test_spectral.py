@@ -19,8 +19,6 @@ from odg import (
     graph_system,
     incidence_matrix,
     information_matrix,
-    moment_matrix,
-    pseudo_det,
     pseudo_information_matrix,
     psi_p,
     rank_of,
@@ -56,13 +54,6 @@ class TestDesign:
         assert np.allclose(Design.uniform(7).w, 1 / 7)
         d = Design.normalized([3, 1])
         assert np.array_equal(d.w, [0.75, 0.25])
-
-    def test_moment_matrix(self):
-        d = Design.uniform(2)
-        assert np.array_equal(moment_matrix(d), np.diag([0.5, 0.5]))
-        assert math.isclose(np.trace(moment_matrix(Design.normalized([2, 3, 5]))), 1.0)
-        degree_rule = Design(np.array([1, 2, 3, 1, 3, 1, 1]) / 12.0)
-        assert np.array_equal(moment_matrix(degree_rule), np.diag(degree_rule.w))
 
 
 class TestCovariance:
@@ -229,28 +220,6 @@ class TestEigensolver:
             residual = m @ vecs - vecs * vals
             assert np.abs(residual).max() <= 1e-8 * np.linalg.norm(m)
             assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-10
-
-
-class TestPseudoDet:
-    def test_single_edge(self):
-        assert pseudo_det(Spectrum(np.array([4.0, 0.0]), tol=4e-9), 1) == 4.0
-
-    def test_centered_uniform(self):
-        system = instances.centered_contrasts(3)
-        spec = eigenvalues_sym(covariance_matrix(system, Design.uniform(3)))
-        assert math.isclose(pseudo_det(spec, 2), 9.0, rel_tol=1e-10)
-
-    def test_path_matches_forest_total(self):
-        from odg import rooted_forest_weight
-
-        graph = instances.path3_graph()
-        spec = eigenvalues_sym(vertex_weighted_laplacian(graph, Design.uniform(3)))
-        assert math.isclose(pseudo_det(spec, 2), 27.0, rel_tol=1e-10)
-        assert math.isclose(rooted_forest_weight(graph, Design.uniform(3), 1), 27.0)
-
-    def test_zero_eigenvalue_rejected(self):
-        with pytest.raises(NonPositiveEigenvalue):
-            pseudo_det(Spectrum(np.array([4.0, 0.0]), tol=4e-9), 2)
 
 
 class TestCofactorMinor:
