@@ -11,11 +11,16 @@ G = F F^T (F v-by-r, r = rank(G)) it works on the r-by-r matrices
 M = F^T W^{-1} F, never forming K(w). At p = 0, -1 and -2 it needs no
 eigensolve at all: det M (Cauchy-Binet over the r-row minors of F), tr M
 and ||M||_F^2 are polynomials in 1/w with coefficients built once from F.
-At p = -inf and other p it eigensolves M.
+At p = -inf it eigensolves only the designs whose largest eigenvalue could
+be the minimum: the others are ruled out by bounds on lambda_max read from
+the trace, the Frobenius norm and the diagonal of M (Wolkowicz & Styan
+1980). At other p it eigensolves every M.
 """
 
 from __future__ import annotations
 
+import math
+from functools import reduce
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -24,6 +29,10 @@ import numpy as np
 _SCAN_CHUNK = 4096
 # Relative gap below which two lattice values count as tied.
 _TIE_RTOL = 1e-12
+# Relative margin by which a lower bound on lambda_max may exceed the scan's
+# threshold and still send its design to the eigensolve at p = -inf. The
+# bounds and LAPACK's lambda_max each carry a rounding error of a few eps.
+_PRUNE_RTOL = 1e-6
 
 
 def weighted_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -41,30 +50,63 @@ def eigh_sym(a):
     return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
 
 
+def _largest_root_bounds(m, r):
+    """(lb, ub) with lb <= lambda_max(M) <= ub for each flattened r-by-r row M of ``m``.
+
+    With the eigenvalues' mean mu = tr M / r and variance
+    s^2 = ||M - mu I||_F^2 / r, Wolkowicz & Styan (Linear Algebra Appl. 29,
+    1980) give mu + s / sqrt(r - 1) <= lambda_max <= mu + s sqrt(r - 1). lb
+    is the larger of their lower bound and the largest diagonal entry, a
+    Rayleigh quotient. For r = 1 both are tr M.
+    """
+    # column by column: numpy reduces a short trailing axis slowly
+    diagonal = [m[:, i * (r + 1)] for i in range(r)]
+    mean = sum(diagonal) / r
+    if r == 1:
+        return mean, mean
+    # r s^2 = ||M - mu I||_F^2, summed as squares so that nothing cancels
+    lower = [m[:, i * r + j] for i in range(r) for j in range(i)]
+    spread = np.sqrt((sum((d - mean) ** 2 for d in diagonal) + 2.0 * sum(a * a for a in lower)) / r)
+    root = math.sqrt(r - 1)
+    return np.maximum(mean + spread / root, reduce(np.maximum, diagonal)), mean + spread * root
+
+
 def _lattice_criterion(f, mode, qexp):
-    """psi at each row x = 1/w of a batch, for M(x) = F^T diag(x) F.
+    """psi(x, cap) at each row x = 1/w of a batch, for M(x) = F^T diag(x) F.
 
     p = 0, -1 and -2 are polynomials in x whose coefficients are sums of
     non-negative terms: det M = sum over r-subsets S of det(F_S)^2 prod_S x_i
     (Cauchy-Binet), tr M = x . (row norms^2 of F) and
     ||M||_F^2 = x^T ((F F^T) o (F F^T)) x. Other p eigensolve the r-by-r M.
+
+    At p = -inf, ``cap`` is a value some lattice design reaches. A row whose
+    lower bound on lambda_max (``_largest_root_bounds``) exceeds
+    min(cap, the batch's least upper bound) by more than ``_PRUNE_RTOL``
+    cannot be the minimum: it reads +inf and is not eigensolved. The other
+    modes ignore ``cap``.
     """
     v, r = f.shape
     if mode == 0:
         subsets = np.array(list(combinations(range(v), r)), dtype=np.int64)
         minors = np.linalg.det(f[subsets]) ** 2
-        return lambda x: np.prod(x[:, subsets], axis=2) @ minors
+        return lambda x, cap: np.prod(x[:, subsets], axis=2) @ minors
     if mode == 1 and qexp == 1.0:
         norms = np.einsum("ij,ij->i", f, f)
-        return lambda x: x @ norms
+        return lambda x, cap: x @ norms
     if mode == 1 and qexp == 2.0:
         hadamard = (f @ f.T) ** 2
-        return lambda x: np.einsum("ij,ij->i", x @ hadamard, x)
+        return lambda x, cap: np.einsum("ij,ij->i", x @ hadamard, x)
     outer = (f[:, :, None] * f[:, None, :]).reshape(v, r * r)
 
-    def spectral(x):
-        top = np.linalg.eigvalsh((x @ outer).reshape(-1, r, r))
-        return top[:, -1] if mode == 2 else np.sum(top**qexp, axis=1)
+    def spectral(x, cap):
+        m = x @ outer
+        if mode != 2:
+            return np.sum(np.linalg.eigvalsh(m.reshape(-1, r, r)) ** qexp, axis=1)
+        lower, upper = _largest_root_bounds(m, r)
+        keep = lower <= min(cap, upper.min()) * (1.0 + _PRUNE_RTOL)
+        top = np.full(len(x), np.inf)
+        top[keep] = np.linalg.eigvalsh(m[keep].reshape(-1, r, r))[:, -1]
+        return top
 
     return spectral
 
@@ -78,8 +120,13 @@ def grid_scan(b, r, n, v, mode, qexp):
     positive eigenvalues of K(w), which ``mode`` reduces (0: product, 1: sum
     of each to the power ``qexp``, 2: largest). The product (p = 0) and the
     sums of first and second powers (p = -1, -2) are read from closed forms
-    in 1/w built once from F (see ``_lattice_criterion``); the largest
-    eigenvalue and other powers come from a batched r-by-r eigensolve.
+    in 1/w built once from F (see ``_lattice_criterion``); other powers come
+    from a batched r-by-r eigensolve. The largest eigenvalue is eigensolved
+    only at designs whose lower bound on it (``_largest_root_bounds``) does
+    not exceed the value at the near-uniform design (counts n // v, the
+    remainder added to the first entries), the lowest value scanned so far
+    or the batch's least upper bound; the others cannot be the minimum. The
+    near-uniform value only prunes: that design is scanned like any other.
 
     Designs are enumerated as v-1 cut positions in 1..n-1, in lexicographic
     order, which is also the lexicographic order of the counts. Returns the
@@ -90,6 +137,11 @@ def grid_scan(b, r, n, v, mode, qexp):
     vals, vecs = eigh_sym(b)
     f = vecs[:, :r] * np.sqrt(vals[:r])
     criterion = _lattice_criterion(f, mode, qexp)
+    cap = np.inf
+    if mode == 2:
+        uniform = np.full(v, n // v)
+        uniform[: n % v] += 1
+        cap = float(criterion(n / uniform[None, :], cap)[0])
     best = np.inf
     best_counts = np.zeros(v, np.int64)
     cuts = combinations(range(1, n), v - 1)
@@ -101,7 +153,7 @@ def grid_scan(b, r, n, v, mode, qexp):
         edges[:, 1:v] = flat.reshape(-1, v - 1)
         edges[:, v] = n
         counts = np.diff(edges, axis=1)
-        psi = criterion(n / counts)
+        psi = criterion(n / counts, min(cap, best))
         low = psi.min()
         # a later chunk displaces the kept point only when clearly lower
         if low < best * (1.0 - _TIE_RTOL):

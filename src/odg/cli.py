@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -64,6 +65,16 @@ def _parse_p(text: str) -> float:
         return validate_p(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_rank_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"rank tolerance must be a number in (0, 1), got {text!r}")
+    return tol
 
 
 def _format_p(p: float) -> str:
@@ -350,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--q", required=True, help="coefficient CSV or edge-list file")
     ev.add_argument("--w", required=True, help="design weight file")
     ev.add_argument("--p", required=True, type=_parse_p, help="criterion exponent, float or neg-inf")
-    ev.add_argument("--rank-tol", type=float, default=None)
+    ev.add_argument("--rank-tol", type=_parse_rank_tol, default=None, help="relative eigenvalue threshold in (0, 1)")
     ev.set_defaults(handler=_cmd_eval)
 
     opt = sub.add_parser("optimize", help="find an optimal design")
@@ -388,6 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    env_tol = os.environ.get("ODG_RANK_TOL")
+    if env_tol is not None:
+        try:
+            _parse_rank_tol(env_tol)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: ODG_RANK_TOL: {exc}", file=sys.stderr)
+            return 2
     try:
         doc, code = args.handler(args)
     except _ExitWith as exc:

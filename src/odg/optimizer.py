@@ -237,8 +237,9 @@ def grid_oracle(
     lexicographically smallest weight vector is returned. This is a
     brute-force reference, independent of the descent machinery: with
     G = F F^T it evaluates p = 0, -1 and -2 by closed forms in 1/w without
-    an eigensolve; p = -inf and other p eigensolve the r-by-r F^T W^{-1} F
-    (see ``_kernels.grid_scan``).
+    an eigensolve; other p eigensolve the r-by-r F^T W^{-1} F, and p = -inf
+    only at the designs that trace bounds on its largest eigenvalue leave
+    as candidates for the minimum (see ``_kernels.grid_scan``).
     """
     p = validate_p(p)
     if system.v > GRID_MAX_V:

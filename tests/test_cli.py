@@ -26,6 +26,13 @@ def paw_edges(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def path3_edges(tmp_path):
+    path = tmp_path / "p3.edges"
+    path.write_text("v=3\n1 2\n2 3\n")
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -90,6 +97,24 @@ class TestEval:
         code, doc, _ = run_cli(capsys, "eval", "--q", paw_edges, "--w", w, "--p", "neg-inf")
         assert code == 0
         assert abs(doc["criterion"]["psi"] - 13.8297) < 5e-4
+
+    @pytest.mark.parametrize("tol", ["0", "2", "nan"])
+    def test_rank_tol_outside_unit_interval_exits_2(self, tmp_path, path3_edges, tol, capsys):
+        w = write_weights(tmp_path, "w.txt", [0.3, 0.4, 0.3])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--q", path3_edges, "--w", w, "--p", "-1", "--rank-tol", tol])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--rank-tol" in errors[0]
+
+    @pytest.mark.parametrize("tol", ["0", "1", "nan", "tiny"])
+    def test_invalid_rank_tol_in_environment_exits_2(self, monkeypatch, tmp_path, path3_edges, tol, capsys):
+        w = write_weights(tmp_path, "w.txt", [0.3, 0.4, 0.3])
+        monkeypatch.setenv("ODG_RANK_TOL", tol)
+        code, doc, err = run_cli(capsys, "eval", "--q", path3_edges, "--w", w, "--p", "-1")
+        assert code == 2 and doc is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ODG_RANK_TOL")
 
 
 class TestOptimize:

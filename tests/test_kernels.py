@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import instances
 from odg import ComparisonGraph, Design, graph_system, psi_p, rank_of
@@ -98,3 +100,89 @@ def test_grid_scan_closed_forms_need_no_eigensolve(monkeypatch, p):
     _, counts = kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(p))
     assert counts.tolist() == expected
 
+
+
+LATTICE_POINTS_V4_N100 = math.comb(99, 3)
+
+
+def unpruned_largest_root_scan(gram, r, n, v):
+    """grid_scan at p = -inf without pruning: the whole lattice in one eigvalsh batch."""
+    vals, vecs = np.linalg.eigh(gram)
+    f = vecs[:, ::-1][:, :r] * np.sqrt(vals[::-1][:r])
+    cuts = np.array(list(itertools.combinations(range(1, n), v - 1)), dtype=np.int64).reshape(-1, v - 1)
+    counts = np.diff(np.pad(cuts, ((0, 0), (1, 0))), axis=1, append=n)
+    m = np.einsum("ka,ai,aj->kij", n / counts, f, f)
+    largest = np.linalg.eigvalsh(m)[:, -1]
+    i = int(np.argmax(largest <= largest.min() * (1.0 + kernels._TIE_RTOL)))
+    return float(largest[i]), counts[i]
+
+
+def _integer_gram(rng, v, r):
+    while True:
+        f = rng.integers(-3, 4, size=(v, r)).astype(float)
+        gram = f @ f.T
+        if np.linalg.matrix_rank(gram) == r:
+            return gram
+
+
+def _pruning_cases():
+    # K4's minimum is the near-uniform point that seeds the threshold; 4 does not divide 97
+    graphs = {"paw": instances.paw_graph(), "star4": instances.star4_graph(), "K4": instances.complete_graph(4)}
+    cases = [
+        pytest.param(graph_system(graphs[name]).gram, 3, n, 4, id=f"{name}-n{n}")
+        for name, n in (("paw", 100), ("star4", 100), ("K4", 100), ("paw", 97))
+    ]
+    rng = np.random.default_rng(8)
+    for v in (2, 3, 4):
+        for r in range(1, v + 1):
+            for n in (v + 3, 23):
+                cases.append(pytest.param(_integer_gram(rng, v, r), r, n, v, id=f"random-v{v}-r{r}-n{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("gram,r,n,v", _pruning_cases())
+def test_grid_scan_pruning_changes_no_result(gram, r, n, v):
+    value, counts = kernels.grid_scan(gram, r, n, v, *scan_args(NEG_INF))
+    expected_value, expected_counts = unpruned_largest_root_scan(gram, r, n, v)
+    assert counts.tolist() == expected_counts.tolist()
+    assert math.isclose(value, expected_value, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("graph", [instances.paw_graph, instances.star4_graph])
+def test_grid_scan_largest_root_eigensolves_few_designs(monkeypatch, graph):
+    # the trace and diagonal bounds rule out all but a few lattice points
+    system = graph_system(graph())
+    eigvalsh = kernels.np.linalg.eigvalsh
+    solved = []
+
+    def counting(a, *args, **kwargs):
+        solved.append(np.asarray(a).reshape(-1, 3, 3).shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.np.linalg, "eigvalsh", counting)
+    kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(NEG_INF))
+    assert 0 < sum(solved) < LATTICE_POINTS_V4_N100 / 8
+
+
+@st.composite
+def psd_matrices(draw):
+    r = draw(st.integers(1, 3))
+    top = draw(st.floats(1e-3, 1e3))
+    # repeated top eigenvalues, exact zeros and distinct values
+    below = st.floats(0.0, 1.0).map(lambda t: t * top)
+    rest = draw(st.lists(st.one_of(st.just(top), st.just(0.0), below), min_size=r - 1, max_size=r - 1))
+    # an orthogonal basis: Q of a Gaussian matrix
+    u, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((r, r)))
+    return np.array([top, *rest]), u
+
+
+@settings(max_examples=300, deadline=None)
+@given(psd_matrices())
+def test_largest_root_bounds_enclose_the_largest_eigenvalue(case):
+    spectrum, u = case
+    r = len(spectrum)
+    m = (u * spectrum) @ u.T
+    lower, upper = kernels._largest_root_bounds(((m + m.T) / 2.0).reshape(1, r * r), r)
+    largest = spectrum.max()
+    assert lower[0] <= largest * (1.0 + 1e-9)
+    assert upper[0] >= largest * (1.0 - 1e-9)
