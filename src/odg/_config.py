@@ -1,13 +1,5 @@
 """Package-wide numeric defaults."""
 
-import os
-
-RANK_TOL = 1e-9
+RANK_TOL = 1e-9  # relative eigenvalue threshold for numeric rank
 COLUMN_SUM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-
-
-def default_rank_tol() -> float:
-    """Relative eigenvalue threshold for numeric rank; ODG_RANK_TOL overrides."""
-    raw = os.environ.get("ODG_RANK_TOL")
-    return RANK_TOL if raw is None else float(raw)

@@ -71,7 +71,7 @@ def _largest_root_bounds(m, r):
     return np.maximum(mean + spread / root, reduce(np.maximum, diagonal)), mean + spread * root
 
 
-def _lattice_criterion(f, mode, qexp):
+def _lattice_criterion(f, p):
     """psi(x, cap) at each row x = 1/w of a batch, for M(x) = F^T diag(x) F.
 
     p = 0, -1 and -2 are polynomials in x whose coefficients are sums of
@@ -82,26 +82,26 @@ def _lattice_criterion(f, mode, qexp):
     At p = -inf, ``cap`` is a value some lattice design reaches. A row whose
     lower bound on lambda_max (``_largest_root_bounds``) exceeds
     min(cap, the batch's least upper bound) by more than ``_PRUNE_RTOL``
-    cannot be the minimum: it reads +inf and is not eigensolved. The other
-    modes ignore ``cap``.
+    cannot be the minimum: it reads +inf and is not eigensolved. Other p
+    ignore ``cap``.
     """
     v, r = f.shape
-    if mode == 0:
+    if p == 0.0:
         subsets = np.array(list(combinations(range(v), r)), dtype=np.int64)
         minors = np.linalg.det(f[subsets]) ** 2
         return lambda x, cap: np.prod(x[:, subsets], axis=2) @ minors
-    if mode == 1 and qexp == 1.0:
+    if p == -1.0:
         norms = np.einsum("ij,ij->i", f, f)
         return lambda x, cap: x @ norms
-    if mode == 1 and qexp == 2.0:
+    if p == -2.0:
         hadamard = (f @ f.T) ** 2
         return lambda x, cap: np.einsum("ij,ij->i", x @ hadamard, x)
     outer = (f[:, :, None] * f[:, None, :]).reshape(v, r * r)
 
     def spectral(x, cap):
         m = x @ outer
-        if mode != 2:
-            return np.sum(np.linalg.eigvalsh(m.reshape(-1, r, r)) ** qexp, axis=1)
+        if p != -math.inf:
+            return np.sum(np.linalg.eigvalsh(m.reshape(-1, r, r)) ** -p, axis=1)
         lower, upper = _largest_root_bounds(m, r)
         keep = lower <= min(cap, upper.min()) * (1.0 + _PRUNE_RTOL)
         top = np.full(len(x), np.inf)
@@ -111,17 +111,19 @@ def _lattice_criterion(f, mode, qexp):
     return spectral
 
 
-def grid_scan(b, r, n, v, mode, qexp):
+def grid_scan(b, r, n, v, p):
     """Scan every lattice design w = counts/n (counts positive, summing to n).
 
     ``b`` is the v-by-v Gram matrix of the coefficient rows and ``r`` its
     rank. It is factored once as F F^T with F = U_r diag(lambda_r)^{1/2}
-    (v-by-r, from the top r eigenpairs), so the r-by-r matrix M = F^T W^{-1} F = sum_i f_i f_i^T / w_i carries exactly the r
-    positive eigenvalues of K(w), which ``mode`` reduces (0: product, 1: sum
-    of each to the power ``qexp``, 2: largest). The product (p = 0) and the
-    sums of first and second powers (p = -1, -2) are read from closed forms
-    in 1/w built once from F (see ``_lattice_criterion``); other powers come
-    from a batched r-by-r eigensolve. The largest eigenvalue is eigensolved
+    (v-by-r, from the top r eigenpairs), so the r-by-r matrix
+    M = F^T W^{-1} F = sum_i f_i f_i^T / w_i carries exactly the r positive
+    eigenvalues of K(w), which the criterion at ``p`` reduces: their product
+    at p = 0, the largest at p = -inf, else the sum of each to the power -p.
+    The product and the sums of first and second powers (p = -1, -2) are
+    read from closed forms in 1/w built once from F (see
+    ``_lattice_criterion``); other powers come from a batched r-by-r
+    eigensolve. At p = -inf the largest eigenvalue is eigensolved
     only at designs whose lower bound on it (``_largest_root_bounds``) does
     not exceed the value at the near-uniform design (counts n // v, the
     remainder added to the first entries), the lowest value scanned so far
@@ -136,9 +138,9 @@ def grid_scan(b, r, n, v, mode, qexp):
     """
     vals, vecs = eigh_sym(b)
     f = vecs[:, :r] * np.sqrt(vals[:r])
-    criterion = _lattice_criterion(f, mode, qexp)
+    criterion = _lattice_criterion(f, p)
     cap = np.inf
-    if mode == 2:
+    if p == -math.inf:
         uniform = np.full(v, n // v)
         uniform[: n % v] += 1
         cap = float(criterion(n / uniform[None, :], cap)[0])

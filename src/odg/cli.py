@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from ._config import default_rank_tol
+from ._config import RANK_TOL
 from .contrasts import (
     ContrastSystem,
     classify,
@@ -67,14 +66,24 @@ def _parse_p(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_rank_tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < 1.0:
-        raise argparse.ArgumentTypeError(f"rank tolerance must be a number in (0, 1), got {text!r}")
-    return tol
+def _checked(convert, valid, expected: str):
+    """An argparse type: ``convert`` the text, then require ``valid`` of it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan  # fails every check below
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_parse_rank_tol = _checked(float, lambda t: 0.0 < t < 1.0, "rank tolerance must be a number in (0, 1)")
+_parse_tol = _checked(float, lambda t: 0.0 < t < math.inf, "tolerance must be a finite number > 0")
+_parse_max_iter = _checked(int, lambda n: n >= 1, "iteration budget must be an integer >= 1")
 
 
 def _format_p(p: float) -> str:
@@ -145,7 +154,7 @@ def _cmd_eval(args) -> tuple[dict, int]:
         extra["laplacian_spectrum"] = [float(x) for x in evaluation.spectrum.values]
     doc = _report(
         "eval",
-        {"q": args.q, "w": args.w, "p": _format_p(args.p), "rank_tol": args.rank_tol or default_rank_tol()},
+        {"q": args.q, "w": args.w, "p": _format_p(args.p), "rank_tol": args.rank_tol},
         design=[float(x) for x in design.w],
         criterion=_criterion_doc(evaluation.criterion),
         spectrum=_spectrum_doc(evaluation.spectrum, evaluation.rank, system.s),
@@ -361,15 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--q", required=True, help="coefficient CSV or edge-list file")
     ev.add_argument("--w", required=True, help="design weight file")
     ev.add_argument("--p", required=True, type=_parse_p, help="criterion exponent, float or neg-inf")
-    ev.add_argument("--rank-tol", type=_parse_rank_tol, default=None, help="relative eigenvalue threshold in (0, 1)")
+    ev.add_argument(
+        "--rank-tol", type=_parse_rank_tol, default=RANK_TOL, help="relative eigenvalue threshold in (0, 1)"
+    )
     ev.set_defaults(handler=_cmd_eval)
 
     opt = sub.add_parser("optimize", help="find an optimal design")
     opt.add_argument("--q", required=True)
     opt.add_argument("--p", required=True, type=_parse_p)
     opt.add_argument("--method", choices=("closed", "numeric", "auto"), default="auto")
-    opt.add_argument("--tol", type=float, default=1e-8)
-    opt.add_argument("--max-iter", type=int, default=10000)
+    opt.add_argument("--tol", type=_parse_tol, default=1e-8, help="relative decrease to stop at, finite and > 0")
+    opt.add_argument("--max-iter", type=_parse_max_iter, default=10000, help="iteration budget, an integer >= 1")
     opt.add_argument("--seed", type=int, default=0, help="kept for interface stability; has no effect")
     opt.add_argument("--perm", default=None, help="one-line 1-indexed permutation, e.g. '2 1 3'")
     opt.set_defaults(handler=_cmd_optimize)
@@ -399,13 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    env_tol = os.environ.get("ODG_RANK_TOL")
-    if env_tol is not None:
-        try:
-            _parse_rank_tol(env_tol)
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: ODG_RANK_TOL: {exc}", file=sys.stderr)
-            return 2
     try:
         doc, code = args.handler(args)
     except _ExitWith as exc:

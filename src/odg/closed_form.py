@@ -82,16 +82,16 @@ def e_optimal_bipartite(graph: ComparisonGraph) -> ClosedFormResult:
     return ClosedFormResult(design, evaluation.criterion, evaluation, "e_bipartite", eigvec=h)
 
 
-def d_optimal_uniform(system: ContrastSystem, rank_tol: float | None = None) -> ClosedFormResult:
+def d_optimal_uniform(system: ContrastSystem) -> ClosedFormResult:
     """Uniform design, optimal for the determinant criterion at rank v-1.
 
     Systems of lower rank give RankTooLow: the uniform design carries no
     optimality guarantee there and callers should fall back to the numeric
     optimizer explicitly.
     """
-    rank = rank_of(system, rank_tol)
+    rank = rank_of(system)
     if rank < system.v - 1:
         raise RankTooLow(f"rank {rank} < v-1 = {system.v - 1}; uniform optimality is not guaranteed")
     design = Design.uniform(system.v)
-    evaluation = _evaluate(system.gram, design.w, rank, 0.0, rank_tol)
+    evaluation = _evaluate(system.gram, design.w, rank, 0.0)
     return ClosedFormResult(design, evaluation.criterion, evaluation, "d_uniform")

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._config import COLUMN_SUM_TOL, default_rank_tol
+from ._config import COLUMN_SUM_TOL, RANK_TOL
 from ._kernels import eigh_sym
 from .errors import MalformedInput, NotAContrast, ZeroRow
 
@@ -258,7 +258,7 @@ def graph_system(graph: ComparisonGraph) -> ContrastSystem:
     return ContrastSystem(incidence_matrix(graph))
 
 
-def rank_of(system: ContrastSystem, tol: float | None = None) -> int:
+def rank_of(system: ContrastSystem, tol: float = RANK_TOL) -> int:
     """Numeric rank: Gram eigenvalues above tol relative to the largest.
 
     q q^T and q^T q share their positive eigenvalues, so the v-by-v Gram
@@ -266,8 +266,6 @@ def rank_of(system: ContrastSystem, tol: float | None = None) -> int:
     The eigenvalues are the system's ``gram_eigen``, made once per system,
     so every later call is a count, at any tolerance.
     """
-    if tol is None:
-        tol = default_rank_tol()
     if tol <= 0:
         raise ValueError("rank tolerance must be positive")
     vals = system.gram_eigen[0]

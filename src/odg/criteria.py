@@ -13,9 +13,11 @@ p = 0, -1, -inf give the classical D-, A- and E-criteria. Smaller psi is
 better; phi is the equivalent maximization form with phi = psi^(-1/r) at
 p = 0, phi = (psi/r)^(1/p) for finite p < 0, and phi = 1/psi at p = -inf.
 
-Each design is eigensolved once, into an ``_Evaluation`` of K(w) that the
-reported criterion and spectrum, the descent and the E-certificate all read;
-one rule per p (``_reduce``) gives the value and the gradient's coefficients.
+Each design, iterate or report, is one ``_evaluate``: a single
+eigendecomposition of K(w), made by ``eigh_sym``, into an ``_Evaluation``
+that the reported criterion and spectrum, the descent and the E-certificate
+all read. One rule per p (``_reduce``) gives the value and the gradient's
+coefficients.
 
 Pass p = -inf as ``float("-inf")``; it is handled as a distinct code path,
 never as a numerical limit of the finite-p formula.
@@ -30,9 +32,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import weighted_gram
+from ._config import RANK_TOL
+from ._kernels import eigh_sym, weighted_gram
 from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
-from .spectral import Design, Spectrum, eigensystem_sym
+from .spectral import Design, Spectrum, spectrum_of
 from .errors import DegenerateEigenspace, NonPositiveEigenvalue
 
 
@@ -112,7 +115,8 @@ class _Evaluation:
 
     ``value`` and ``gradient`` reduce the top ``rank`` (all v when smoothed)
     unchecked, so the descent can evaluate any iterate; ``criterion`` checks
-    them against ``spectrum``, which a descent iterate goes without.
+    them against ``spectrum``, which is made on first read, so a descent
+    iterate goes without it.
     """
 
     gram: np.ndarray
@@ -121,8 +125,12 @@ class _Evaluation:
     vectors: np.ndarray
     rank: int
     p: float
+    rank_tol: float = RANK_TOL
     temperature: float | None = None
-    spectrum: Spectrum | None = None
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return spectrum_of(self.values, self.rank_tol)
 
     @cached_property
     def _reduction(self) -> tuple[float, np.ndarray]:
@@ -162,10 +170,21 @@ class _Evaluation:
         return CertificateReport(lhs_max=lhs_max, rhs=top, gap=lhs_max - top, witness_vertex=witness)
 
 
-def _evaluate(gram: np.ndarray, w: np.ndarray, rank: int, p: float, rank_tol: float | None = None) -> _Evaluation:
-    """Eigensolve K(w) once, through ``eigensystem_sym``, to be read at p."""
-    spectrum, vectors = eigensystem_sym(weighted_gram(gram, w), rank_tol)
-    return _Evaluation(gram, w, spectrum.values, vectors, rank, validate_p(p), spectrum=spectrum)
+def _evaluate(
+    gram: np.ndarray,
+    w: np.ndarray,
+    rank: int,
+    p: float,
+    rank_tol: float = RANK_TOL,
+    temperature: float | None = None,
+) -> _Evaluation:
+    """Eigensolve K(w) once, to be read at p (smoothed at ``temperature``).
+
+    K(w) is symmetric by construction, so it skips ``eigensystem_sym``'s
+    check; ``rank_tol`` sets the threshold of the spectrum it reports.
+    """
+    values, vectors = eigh_sym(weighted_gram(gram, w))
+    return _Evaluation(gram, w, values, vectors, rank, validate_p(p), rank_tol, temperature)
 
 
 def psi_p(
@@ -173,7 +192,6 @@ def psi_p(
     design: Design,
     p: float,
     rank: int | None = None,
-    rank_tol: float | None = None,
 ) -> CriterionValue:
     """Criterion value from the spectrum of K(w).
 
@@ -181,8 +199,8 @@ def psi_p(
     is determined here with the shared tolerance.
     """
     if rank is None:
-        rank = rank_of(system, rank_tol)
-    return _evaluate(system.gram, design.w, rank, p, rank_tol).criterion
+        rank = rank_of(system)
+    return _evaluate(system.gram, design.w, rank, p).criterion
 
 
 def psi_p_via_laplacian(
@@ -190,10 +208,9 @@ def psi_p_via_laplacian(
     design: Design,
     p: float,
     rank: int | None = None,
-    rank_tol: float | None = None,
 ) -> CriterionValue:
     """``psi_p`` of the graph's system, whose K(w) is the vertex-weighted Laplacian."""
-    return psi_p(graph_system(graph), design, p, rank=rank, rank_tol=rank_tol)
+    return psi_p(graph_system(graph), design, p, rank=rank)
 
 
 def efficiency(
@@ -201,10 +218,9 @@ def efficiency(
     design: Design,
     reference: Design,
     p: float,
-    rank_tol: float | None = None,
 ) -> float:
     """phi_p(design) / phi_p(reference); equals 1 when the designs coincide."""
-    rank = rank_of(system, rank_tol)
-    num = psi_p(system, design, p, rank=rank, rank_tol=rank_tol)
-    den = psi_p(system, reference, p, rank=rank, rank_tol=rank_tol)
+    rank = rank_of(system)
+    num = psi_p(system, design, p, rank=rank)
+    den = psi_p(system, reference, p, rank=rank)
     return num.phi / den.phi

@@ -1,14 +1,15 @@
 """Numerical criterion minimization over the open simplex.
 
 The workhorse is projected gradient descent with backtracking line search on
-the floored simplex {w : w_i >= floor, sum w = 1}. All criteria handled here
+the floored simplex {w : w_i >= FLOOR, sum w = 1}. All criteria handled here
 are convex in w, so the iteration converges to the global minimum. The
 nonsmooth largest-eigenvalue criterion (p = -inf) is minimized through a
 log-sum-exp smoothing of the spectrum whose temperature is annealed toward
 zero, finishing with a polish pass at the final temperature.
 
-Each iterate is one eigendecomposition of K(w), a ``criteria._Evaluation``;
-the returned design is the last accepted iterate, read without another.
+Each design, iterate or report, is one ``criteria._evaluate``: one
+eigendecomposition of K(w). The returned design is the last accepted
+iterate, read without another.
 
 Everything is deterministic: fixed initialization, fixed sweep orders, no
 randomized restarts.
@@ -22,23 +23,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import eigh_sym, grid_scan, weighted_gram
+from ._kernels import grid_scan
 from .closed_form import a_optimal_weights
 from .contrasts import ContrastSystem, rank_of
 from .criteria import CertificateReport, CriterionValue, _evaluate, _Evaluation, validate_p
-from .spectral import Design, spectrum_of
+from .spectral import Design
 from .symmetry import OrbitReduction
 from .errors import InfeasibleStart, NotConverged, TooLarge
 
 GRID_MAX_V = 4
 GRID_STEP_RANGE = (1e-3, 0.1)
+FLOOR = 1e-9  # minimum weight kept strictly positive
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
     tol: float = 1e-8          # stop when the relative criterion decrease falls below this
     max_iter: int = 10000      # global iteration budget
-    floor: float = 1e-9        # minimum weight kept strictly positive
     init: Optional[np.ndarray] = None
     orbits: Optional[OrbitReduction] = None
 
@@ -83,9 +84,9 @@ def _orbit_average(orbits: OrbitReduction) -> Callable:
     return average
 
 
-def _descend(current, evaluate, floor, tol, max_iter, averager, p):
+def _descend(current, tol, max_iter, averager):
     """Projected gradient descent with Armijo backtracking from the evaluation
-    ``current``; ``evaluate`` maps a point to its evaluation.
+    ``current``; each trial point is evaluated as ``current`` was.
 
     Returns (last accepted evaluation, iterations, converged). A failed line
     search means no feasible decrease exists within machine resolution,
@@ -102,14 +103,14 @@ def _descend(current, evaluate, floor, tol, max_iter, averager, p):
     while iterations < max_iter:
         value = current.value
         if not (math.isfinite(value) and np.all(np.isfinite(grad))):
-            raise NotConverged(f"the criterion or its gradient is not finite at p={p}")
+            raise NotConverged(f"the criterion or its gradient is not finite at p={current.p}")
         iterations += 1
         accepted = False
         t = step
         for _ in range(60):
-            candidate = project_floored_simplex(current.w - t * grad, floor)
+            candidate = project_floored_simplex(current.w - t * grad, FLOOR)
             direction = candidate - current.w
-            trial = evaluate(candidate)
+            trial = _evaluate(current.gram, candidate, current.rank, current.p, current.rank_tol, current.temperature)
             if trial.value <= value + 1e-4 * float(grad @ direction):
                 accepted = True
                 break
@@ -156,7 +157,6 @@ def optimize_phi_p(
     """
     p = validate_p(p)
     opts = opts or OptimizeOptions()
-    gram = system.gram
     rank = rank_of(system)
     w = _initial_point(system, p, opts)
     averager = np.asarray  # no orbits: the gradient as it is
@@ -165,40 +165,29 @@ def optimize_phi_p(
             raise ValueError("orbit reduction does not match the system size")
         averager = _orbit_average(opts.orbits)
         w = averager(w)
-    w = project_floored_simplex(w, opts.floor)
-
-    def evaluate(x, temperature=None):
-        # K(w) is symmetric by construction, so an iterate skips the checks
-        # and Spectrum of eigensystem_sym, which at small v cost as much
-        values, vectors = eigh_sym(weighted_gram(gram, x))
-        return _Evaluation(gram, x, values, vectors, rank, p, temperature)
+    final = _evaluate(system.gram, project_floored_simplex(w, FLOOR), rank, p)
 
     total_iterations = 0
     if p == -math.inf:
         # each temperature starts from the last design's eigendecomposition
-        final = evaluate(w)
         scale = final.value
         temperature = 0.1 * scale
         temperature_floor = 1e-9 * scale
         converged = False
         while total_iterations < opts.max_iter:
             final, used, converged = _descend(
-                replace(final, temperature=temperature),
-                lambda x: evaluate(x, temperature),
-                opts.floor, opts.tol, opts.max_iter - total_iterations, averager, p,
+                replace(final, temperature=temperature), opts.tol, opts.max_iter - total_iterations, averager
             )
             total_iterations += used
             if temperature <= temperature_floor:
                 break
             temperature = max(temperature / 5.0, temperature_floor)
         converged = converged and temperature <= temperature_floor
+        final = replace(final, temperature=None)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # large -p overflows; _descend reports it
-            final, total_iterations, converged = _descend(
-                evaluate(w), evaluate, opts.floor, opts.tol, opts.max_iter, averager, p
-            )
+            final, total_iterations, converged = _descend(final, opts.tol, opts.max_iter, averager)
 
-    final = replace(final, temperature=None, spectrum=spectrum_of(final.values))
     return OptimizationResult(
         design=Design(final.w),
         criterion=final.criterion,
@@ -227,7 +216,6 @@ def grid_oracle(
     system: ContrastSystem,
     p: float,
     step: float,
-    rank_tol: float | None = None,
 ) -> Design:
     """Exhaustive lattice minimizer of the criterion, for tiny systems.
 
@@ -250,13 +238,5 @@ def grid_oracle(
     n = round(1.0 / step)
     if n < system.v:
         raise TooLarge(f"step {step} leaves no room for {system.v} positive weights")
-    rank = rank_of(system, rank_tol)
-    gram = system.gram
-    if p == 0.0:
-        mode, qexp = 0, 0.0
-    elif p == -math.inf:
-        mode, qexp = 2, 0.0
-    else:
-        mode, qexp = 1, -p
-    _, counts = grid_scan(gram, rank, n, system.v, mode, qexp)
+    _, counts = grid_scan(system.gram, rank_of(system), n, system.v, p)
     return Design(np.asarray(counts, dtype=np.float64) / n)

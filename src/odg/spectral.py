@@ -12,6 +12,12 @@ is eigensolved once, as K(w). The information matrices come from the same
 v-by-v eigendecomposition, so no s-by-s matrix is ever eigensolved. For a
 pairwise system K(w) is the vertex-weighted Laplacian of the comparison
 graph with vertex weights 1/w_i.
+
+K(w) is built inside the package and symmetric by construction, so it goes
+straight to ``_kernels.eigh_sym`` (see ``criteria._evaluate``);
+``eigensystem_sym`` checks symmetry first and is the entry for matrices
+from outside. A spectrum's positivity threshold is
+``_config.RANK_TOL`` times its largest eigenvalue (``spectrum_of``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import WEIGHT_SUM_TOL, default_rank_tol
+from ._config import RANK_TOL, WEIGHT_SUM_TOL
 from ._kernels import eigh_sym, weighted_gram
 from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
 from .errors import (
@@ -95,11 +101,11 @@ def covariance_matrix(system: ContrastSystem, design: Design) -> np.ndarray:
     return (system.q.T / design.w) @ system.q
 
 
-def eigensystem_sym(m: np.ndarray, rank_tol: float | None = None):
+def eigensystem_sym(m: np.ndarray):
     """Full descending eigen-decomposition of a symmetric matrix.
 
     Returns (Spectrum, vectors) with eigenvectors as columns. The spectrum's
-    positivity threshold is ``rank_tol`` times the largest eigenvalue.
+    positivity threshold is ``RANK_TOL`` times the largest eigenvalue.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -108,30 +114,28 @@ def eigensystem_sym(m: np.ndarray, rank_tol: float | None = None):
     if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     vals, vecs = eigh_sym(m)
-    return spectrum_of(vals, rank_tol), vecs
+    return spectrum_of(vals, RANK_TOL), vecs
 
 
-def spectrum_of(values: np.ndarray, rank_tol: float | None = None) -> Spectrum:
+def spectrum_of(values: np.ndarray, rank_tol: float) -> Spectrum:
     """Descending eigenvalues with the positivity threshold ``rank_tol`` times the largest."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
     return Spectrum(values, rank_tol * max(float(values[0]), 0.0))
 
 
-def eigenvalues_sym(m: np.ndarray, rank_tol: float | None = None) -> Spectrum:
-    spectrum, _ = eigensystem_sym(m, rank_tol)
+def eigenvalues_sym(m: np.ndarray) -> Spectrum:
+    spectrum, _ = eigensystem_sym(m)
     return spectrum
 
 
-def information_matrix(system: ContrastSystem, design: Design, rank_tol: float | None = None) -> np.ndarray:
+def information_matrix(system: ContrastSystem, design: Design) -> np.ndarray:
     """Inverse of the covariance matrix; defined for full-rank systems only."""
-    r = rank_of(system, rank_tol)
+    r = rank_of(system)
     if r < system.s:
         raise RankDeficient(f"system has rank {r} < s={system.s}; use pseudo_information_matrix")
-    return pseudo_information_matrix(system, design, rank_tol)
+    return pseudo_information_matrix(system, design)
 
 
-def pseudo_information_matrix(system: ContrastSystem, design: Design, rank_tol: float | None = None) -> np.ndarray:
+def pseudo_information_matrix(system: ContrastSystem, design: Design) -> np.ndarray:
     """Moore-Penrose analogue of the information matrix for any rank.
 
     With H = diag(w)^{-1/2} q the covariance matrix is H^T H and
@@ -139,10 +143,10 @@ def pseudo_information_matrix(system: ContrastSystem, design: Design, rank_tol: 
     H^T U_r diag(lam_r)^{-2} U_r^T H over the r eigenvalues of K(w) above
     the positivity threshold.
     """
-    spectrum, vecs = eigensystem_sym(weighted_gram(system.gram, design.w), rank_tol)
-    r = spectrum.positive_count
+    values, vecs = eigh_sym(weighted_gram(system.gram, design.w))
+    r = spectrum_of(values, RANK_TOL).positive_count
     uh = vecs[:, :r].T @ (system.q / np.sqrt(design.w)[:, None])
-    return (uh.T / spectrum.values[:r] ** 2) @ uh
+    return (uh.T / values[:r] ** 2) @ uh
 
 
 def vertex_weighted_laplacian(graph: ComparisonGraph, design: Design) -> np.ndarray:

@@ -107,15 +107,6 @@ class TestEval:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--rank-tol" in errors[0]
 
-    @pytest.mark.parametrize("tol", ["0", "1", "nan", "tiny"])
-    def test_invalid_rank_tol_in_environment_exits_2(self, monkeypatch, tmp_path, path3_edges, tol, capsys):
-        w = write_weights(tmp_path, "w.txt", [0.3, 0.4, 0.3])
-        monkeypatch.setenv("ODG_RANK_TOL", tol)
-        code, doc, err = run_cli(capsys, "eval", "--q", path3_edges, "--w", w, "--p", "-1")
-        assert code == 2 and doc is None
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ODG_RANK_TOL")
-
 
 class TestOptimize:
     def test_tree7_trace_auto(self, tree7_csv, capsys):
@@ -181,6 +172,20 @@ class TestOptimize:
         )
         assert code == 4
         assert doc["optimizer"]["converged"] is False
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"), ("--tol", "small"),
+         ("--max-iter", "-5"), ("--max-iter", "0"), ("--max-iter", "2.5")],
+    )
+    def test_invalid_stopping_rule_exits_2(self, tree7_csv, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", "--q", tree7_csv, "--p", "-2", "--method", "numeric", flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0]
 
     def test_overflowing_criterion_exits_4(self, tree7_csv, capsys):
         code, doc, err = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", "-300")

@@ -5,7 +5,6 @@ import pytest
 
 import instances
 from odg import ContrastSystem, rank_of
-from odg._config import default_rank_tol
 from odg.cli import main
 
 
@@ -18,23 +17,13 @@ def nearly_deficient_system():
     return ContrastSystem(np.column_stack([base, bumped]))
 
 
-def test_env_var_overrides_default(monkeypatch):
-    monkeypatch.delenv("ODG_RANK_TOL", raising=False)
-    assert default_rank_tol() == 1e-9
-    monkeypatch.setenv("ODG_RANK_TOL", "1e-4")
-    assert default_rank_tol() == 1e-4
-
-
-def test_rank_respects_env_tolerance(monkeypatch):
+def test_rank_respects_env_tolerance():
     system = nearly_deficient_system()
-    monkeypatch.delenv("ODG_RANK_TOL", raising=False)
     assert rank_of(system) == 2  # tiny eigenvalue still counted at 1e-9
-    monkeypatch.setenv("ODG_RANK_TOL", "1e-6")
-    assert rank_of(system) == 1
+    assert rank_of(system, 1e-6) == 1
 
 
-def test_cli_rank_tol_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("ODG_RANK_TOL", raising=False)
+def test_cli_rank_tol_flag(tmp_path, capsys):
     q = tmp_path / "near.csv"
     q.write_text(
         "\n".join(",".join(repr(float(x)) for x in row) for row in nearly_deficient_system().q)

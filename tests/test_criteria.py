@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,7 +177,7 @@ def test_reduction_gradient_matches_central_differences(tree7, rng, p, temperatu
         t = None if temperature is None else temperature * _evaluate(system.gram, w, rank, p).values[0]
 
         def evaluate(x):
-            return replace(_evaluate(system.gram, x, rank, p), temperature=t)
+            return _evaluate(system.gram, x, rank, p, temperature=t)
 
         fd = np.empty(system.v)
         for i in range(system.v):
@@ -187,3 +186,11 @@ def test_reduction_gradient_matches_central_differences(tree7, rng, p, temperatu
             fd[i] = (evaluate(w + h).value - evaluate(w - h).value) / (2.0 * h[i])
         grad = evaluate(w).gradient()
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8 * np.abs(grad).max())
+
+
+@pytest.mark.parametrize("rank_tol", [1e-9, 1e-6, 0.5])
+def test_evaluation_spectrum_threshold_is_rank_tol_times_largest(tree7, rng, rank_tol):
+    w = instances.random_design(rng, tree7.v).w
+    evaluation = _evaluate(tree7.gram, w, rank_of(tree7), -1.0, rank_tol=rank_tol)
+    assert evaluation.spectrum.tol == rank_tol * evaluation.values[0]
+    assert evaluation.spectrum.values.tolist() == evaluation.values.tolist()

@@ -13,26 +13,17 @@ from odg import _kernels as kernels
 NEG_INF = float("-inf")
 
 
-def scan_args(p):
-    """grid_scan's (mode, qexp) for a criterion exponent."""
-    if p == 0.0:
-        return 0, 0.0
-    if p == NEG_INF:
-        return 2, 0.0
-    return 1, -p
-
-
 def test_grid_scan_enumerates_full_lattice():
     # minimizer of the trace form sits at the known closed-form point
     system = graph_system(instances.path3_graph())
     gram = system.q @ system.q.T
-    value, counts = kernels.grid_scan(gram, 2, 10, 3, 1, 1.0)
+    value, counts = kernels.grid_scan(gram, 2, 10, 3, -1.0)
     assert counts.tolist() == [3, 4, 3]
 
 
 def test_grid_scan_two_vertices():
     gram = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    value, counts = kernels.grid_scan(gram, 1, 10, 2, 2, 0.0)
+    value, counts = kernels.grid_scan(gram, 1, 10, 2, NEG_INF)
     assert counts.tolist() == [5, 5]
     assert np.isclose(value, 4.0)
 
@@ -53,7 +44,7 @@ def test_grid_scan_matches_direct_evaluation(name, system, p):
     # every positive composition of n, each evaluated by psi_p on K(w)
     n, v = 12, system.v
     rank = rank_of(system)
-    value, counts = kernels.grid_scan(system.gram, rank, n, v, *scan_args(p))
+    value, counts = kernels.grid_scan(system.gram, rank, n, v, p)
     assert int(counts.sum()) == n and counts.min() >= 1
     at_counts = psi_p(system, Design(counts / n), p, rank=rank).psi
     assert math.isclose(value, at_counts, rel_tol=1e-12)
@@ -73,7 +64,7 @@ def test_grid_scan_ties_keep_earliest_point(p, expected):
     # on the paw these optima are tied in exact arithmetic with their mirror
     # images ([31, 26, 25, 18] and [40, 23, 23, 14]), which come later
     system = graph_system(instances.paw_graph())
-    _, counts = kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(p))
+    _, counts = kernels.grid_scan(system.gram, 3, 100, 4, p)
     assert counts.tolist() == expected
 
 
@@ -82,8 +73,8 @@ def test_grid_scan_ties_survive_rescaling(p):
     # scaling Q rescales every lattice value alike, so the kept point stays
     system = graph_system(instances.paw_graph())
     scaled = 3.0 * system.q
-    _, counts = kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(p))
-    _, scaled_counts = kernels.grid_scan(scaled @ scaled.T, 3, 100, 4, *scan_args(p))
+    _, counts = kernels.grid_scan(system.gram, 3, 100, 4, p)
+    _, scaled_counts = kernels.grid_scan(scaled @ scaled.T, 3, 100, 4, p)
     assert scaled_counts.tolist() == counts.tolist()
 
 
@@ -91,13 +82,13 @@ def test_grid_scan_ties_survive_rescaling(p):
 def test_grid_scan_closed_forms_need_no_eigensolve(monkeypatch, p):
     # p = 0, -1 and -2 are read from polynomials in 1/w, not from a spectrum
     system = graph_system(instances.paw_graph())
-    expected = kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(p))[1].tolist()
+    expected = kernels.grid_scan(system.gram, 3, 100, 4, p)[1].tolist()
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 
     monkeypatch.setattr(kernels.np.linalg, "eigvalsh", refuse)
-    _, counts = kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(p))
+    _, counts = kernels.grid_scan(system.gram, 3, 100, 4, p)
     assert counts.tolist() == expected
 
 
@@ -142,7 +133,7 @@ def _pruning_cases():
 
 @pytest.mark.parametrize("gram,r,n,v", _pruning_cases())
 def test_grid_scan_pruning_changes_no_result(gram, r, n, v):
-    value, counts = kernels.grid_scan(gram, r, n, v, *scan_args(NEG_INF))
+    value, counts = kernels.grid_scan(gram, r, n, v, NEG_INF)
     expected_value, expected_counts = unpruned_largest_root_scan(gram, r, n, v)
     assert counts.tolist() == expected_counts.tolist()
     assert math.isclose(value, expected_value, rel_tol=1e-12)
@@ -160,7 +151,7 @@ def test_grid_scan_largest_root_eigensolves_few_designs(monkeypatch, graph):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(kernels.np.linalg, "eigvalsh", counting)
-    kernels.grid_scan(system.gram, 3, 100, 4, *scan_args(NEG_INF))
+    kernels.grid_scan(system.gram, 3, 100, 4, NEG_INF)
     assert 0 < sum(solved) < LATTICE_POINTS_V4_N100 / 8
 
 

@@ -231,3 +231,17 @@ class TestGridOracle:
         lattice = grid_oracle(system, NEG_INF, 0.01)
         lattice_value = psi_p(system, lattice, NEG_INF).psi
         assert result.criterion.psi <= lattice_value + 1e-9
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, -2.0, NEG_INF], ids=["0", "-0.5", "-2", "-inf"])
+@pytest.mark.parametrize("name", ["tree7", "gauss12x6"])
+def test_numeric_criterion_is_psi_p_at_the_returned_design(name, p):
+    # the descent's last iterate and psi_p evaluate the design by one route,
+    # so the reported criterion is psi_p's to the bit
+    if name == "tree7":
+        system = instances.tree7_system()
+    else:
+        system = instances.random_contrast_system(np.random.default_rng(12), 12, 6)
+        assert rank_of(system) == 6 < system.v - 1
+    result = optimize_phi_p(system, p)
+    assert result.criterion == psi_p(system, result.design, p)
