@@ -84,6 +84,8 @@ def _checked(convert, valid, expected: str):
 _parse_rank_tol = _checked(float, lambda t: 0.0 < t < 1.0, "rank tolerance must be a number in (0, 1)")
 _parse_tol = _checked(float, lambda t: 0.0 < t < math.inf, "tolerance must be a finite number > 0")
 _parse_max_iter = _checked(int, lambda n: n >= 1, "iteration budget must be an integer >= 1")
+_parse_max_v = _checked(int, lambda n: n >= 1, "search bound must be an integer >= 1")
+_parse_grid_step = _checked(float, lambda h: 0.0 < h < math.inf, "grid step must be a finite number > 0")
 
 
 def _format_p(p: float) -> str:
@@ -387,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sym = sub.add_parser("symmetry", help="invariance and orbit analysis")
     sym.add_argument("--q", required=True)
-    sym.add_argument("--max-v", type=int, default=9)
+    sym.add_argument("--max-v", type=_parse_max_v, default=9, help="largest v to search exhaustively, an integer >= 1")
     sym.add_argument("--perm", default=None)
     sym.set_defaults(handler=_cmd_symmetry)
 
@@ -396,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--mode", choices=("kappa", "grid"), required=True)
     orc.add_argument("--w", default=None)
     orc.add_argument("--p", type=_parse_p, default=None)
-    orc.add_argument("--grid-step", type=float, default=0.01)
+    orc.add_argument("--grid-step", type=_parse_grid_step, default=0.01, help="lattice step, finite and > 0")
     orc.set_defaults(handler=_cmd_oracle)
 
     dot = sub.add_parser("export-dot", help="emit the comparison graph as DOT")

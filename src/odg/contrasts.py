@@ -20,7 +20,7 @@ import numpy as np
 
 from ._config import COLUMN_SUM_TOL, RANK_TOL
 from ._kernels import eigh_sym
-from .errors import MalformedInput, NotAContrast, ZeroRow
+from .errors import MalformedInput, NotAContrast, PreconditionViolated, ZeroRow
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,10 +264,11 @@ def rank_of(system: ContrastSystem, tol: float = RANK_TOL) -> int:
     q q^T and q^T q share their positive eigenvalues, so the v-by-v Gram
     matrix gives the rank of any system, however many contrasts it has.
     The eigenvalues are the system's ``gram_eigen``, made once per system,
-    so every later call is a count, at any tolerance.
+    so every later call is a count, at any tolerance in (0, 1); any other
+    tolerance raises ``PreconditionViolated``.
     """
-    if tol <= 0:
-        raise ValueError("rank tolerance must be positive")
+    if not 0.0 < tol < 1.0:  # also refuses nan
+        raise PreconditionViolated(f"rank tolerance must be a number in (0, 1), got {tol!r}")
     vals = system.gram_eigen[0]
     if vals[0] <= 0.0:
         return 0

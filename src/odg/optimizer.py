@@ -1,8 +1,12 @@
 """Numerical criterion minimization over the open simplex.
 
-The workhorse is projected gradient descent with backtracking line search on
-the floored simplex {w : w_i >= FLOOR, sum w = 1}. All criteria handled here
-are convex in w, so the iteration converges to the global minimum. The
+The workhorse is monotone spectral projected gradient (Birgin, Martinez &
+Raydan, SIAM J. Optim. 2000) on the floored simplex {w : w_i >= FLOOR,
+sum w = 1}: a Barzilai-Borwein step, one projection per iteration and an
+Armijo backtrack along the projected direction. It stops when the relative
+decrease of an accepted step falls below the tolerance, or when no decrease
+is left that the criterion value can resolve. All criteria handled here are
+convex in w, so the iteration converges to the global minimum. The
 nonsmooth largest-eigenvalue criterion (p = -inf) is minimized through a
 log-sum-exp smoothing of the spectrum whose temperature is annealed toward
 zero, finishing with a polish pass at the final temperature.
@@ -34,11 +38,12 @@ from .errors import InfeasibleStart, NotConverged, TooLarge
 GRID_MAX_V = 4
 GRID_STEP_RANGE = (1e-3, 0.1)
 FLOOR = 1e-9  # minimum weight kept strictly positive
+RESOLUTION = 4.0 * np.finfo(np.float64).eps  # smallest relative change of a criterion value taken as real
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    tol: float = 1e-8          # stop when the relative criterion decrease falls below this
+    tol: float = 1e-8          # stop when an accepted step's relative decrease falls below this
     max_iter: int = 10000      # global iteration budget
     init: Optional[np.ndarray] = None
     orbits: Optional[OrbitReduction] = None
@@ -85,45 +90,56 @@ def _orbit_average(orbits: OrbitReduction) -> Callable:
 
 
 def _descend(current, tol, max_iter, averager):
-    """Projected gradient descent with Armijo backtracking from the evaluation
-    ``current``; each trial point is evaluated as ``current`` was.
+    """Monotone spectral projected gradient from the evaluation ``current``;
+    each trial point is evaluated as ``current`` was.
 
-    Returns (last accepted evaluation, iterations, converged). A failed line
-    search means no feasible decrease exists within machine resolution,
-    which is treated as convergence. Raises ``NotConverged`` when the
-    criterion value or its gradient at the current point is not finite (it
-    overflows at large -p).
+    Each iteration takes one Barzilai–Borwein step s's / s'y (s and y the
+    last change of design and of gradient), capped at 2 / |grad| since the
+    simplex has diameter sqrt(2), projects once to get the direction d, and
+    backtracks by halving lambda along w + lambda d until the Armijo test
+    holds. Returns (last accepted evaluation, iterations, converged). It
+    converges when the relative decrease of an accepted step falls below
+    ``tol``, or when the decrease the line search predicts, -lambda grad'd,
+    falls below RESOLUTION times the criterion value: no decrease is left
+    to resolve. Raises ``NotConverged`` when the criterion value or its
+    gradient at the current point is not finite (it overflows at large -p).
     """
     grad = averager(current.gradient())
-    # hypot scales before squaring: the squares overflow once an entry
-    # passes 1e154, while the norm itself stays finite far beyond that
-    step = 1.0 / max(math.hypot(*grad), 1.0)
+    step = 1.0 / max(math.hypot(*grad), 1.0)  # no curvature seen yet: at most a unit move
     iterations = 0
     converged = False
     while iterations < max_iter:
         value = current.value
-        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+        # hypot scales before squaring: the squares overflow once an entry
+        # passes 1e154, while the norm itself stays finite far beyond that
+        norm = math.hypot(*grad)
+        if not (math.isfinite(value) and math.isfinite(norm)):
             raise NotConverged(f"the criterion or its gradient is not finite at p={current.p}")
         iterations += 1
-        accepted = False
-        t = step
-        for _ in range(60):
-            candidate = project_floored_simplex(current.w - t * grad, FLOOR)
-            direction = candidate - current.w
-            trial = _evaluate(current.gram, candidate, current.rank, current.p, current.rank_tol, current.temperature)
-            if trial.value <= value + 1e-4 * float(grad @ direction):
-                accepted = True
+        direction = project_floored_simplex(current.w - min(step, 2.0 / norm) * grad, FLOOR) - current.w
+        slope = float(grad @ direction)
+        resolution = RESOLUTION * abs(value)
+        trial = None
+        lam = 1.0
+        for _ in range(60):  # binds only where the resolution is 0: log psi at psi = 1
+            if -lam * slope <= resolution:
                 break
-            t *= 0.5
-        if not accepted:
+            candidate = _evaluate(
+                current.gram, current.w + lam * direction, current.rank, current.p, current.rank_tol, current.temperature
+            )
+            if candidate.value <= value + 1e-4 * lam * slope:
+                trial = candidate
+                break
+            lam *= 0.5
+        if trial is None:  # no decrease left that the value can resolve
             converged = True
             break
-        decrease = value - trial.value
-        relative = decrease / max(abs(value), 1e-300)
+        s = trial.w - current.w
         current = trial
-        grad = averager(trial.gradient())
-        step = 2.0 * t
-        if relative < tol:
+        previous, grad = grad, averager(trial.gradient())
+        curvature = float(s @ (grad - previous))
+        step = float(s @ s) / curvature if curvature > 0.0 else math.inf
+        if (value - trial.value) / max(abs(value), 1e-300) < tol:
             converged = True
             break
     return current, iterations, converged
@@ -149,11 +165,14 @@ def optimize_phi_p(
 ) -> OptimizationResult:
     """Minimize the criterion over the floored simplex.
 
-    Finite p (including 0) runs plain projected gradient descent; p = -inf
-    anneals the smoothing temperature from 0.1 * lambda_max down by factors
-    of 5 to a 1e-9 relative floor, then polishes. The result's criterion and
-    certificate read the last iterate's evaluation. ``converged`` reports
-    whether the final descent met the tolerance within the iteration budget.
+    Finite p (including 0) runs one spectral projected gradient descent
+    (``_descend``); p = -inf runs one per temperature, annealing the
+    smoothing from 0.1 * lambda_max down by factors of 5 to a 1e-9 relative
+    floor, then polishes. Each descent stops when the relative decrease
+    falls below ``opts.tol`` or when no decrease is left to resolve. The
+    result's criterion and certificate read the last iterate's evaluation.
+    ``converged`` reports whether the final descent stopped so within the
+    iteration budget; it certifies nothing at finite p.
     """
     p = validate_p(p)
     opts = opts or OptimizeOptions()

@@ -234,6 +234,20 @@ class TestSymmetry:
         code, doc, _ = run_cli(capsys, "symmetry", "--q", str(q))
         assert code == 6 and doc is None
 
+    @pytest.mark.parametrize("value", ["-3", "0", "2.5", "nan", "many"])
+    def test_invalid_search_bound_exits_2(self, paw_edges, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["symmetry", "--q", paw_edges, "--max-v", value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--max-v" in errors[0]
+
+    def test_search_bound_below_v_exits_6(self, paw_edges, capsys):
+        code, doc, _ = run_cli(capsys, "symmetry", "--q", paw_edges, "--max-v", "3")
+        assert code == 6 and doc is None
+
     def test_large_with_cyclic_perm(self, tmp_path, capsys):
         q = tmp_path / "ring10.csv"
         q.write_text("\n".join(",".join(str(x) for x in row) for row in instances.ring_system(10).q))
@@ -279,6 +293,22 @@ class TestOracle:
         q.write_text("\n".join(",".join(str(x) for x in row) for row in m))
         code, doc, _ = run_cli(capsys, "oracle", "--q", str(q), "--mode", "grid", "--p", "0")
         assert code == 7 and doc is None
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0", "-0.01", "fine"])
+    def test_invalid_grid_step_exits_2(self, paw_edges, step, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle", "--q", paw_edges, "--mode", "grid", "--p", "-1", "--grid-step", step])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--grid-step" in errors[0]
+
+    @pytest.mark.parametrize("step", ["1e-4", "0.5", "2"])
+    def test_grid_step_outside_scan_range_exits_7(self, paw_edges, step, capsys):
+        code, doc, err = run_cli(capsys, "oracle", "--q", paw_edges, "--mode", "grid", "--p", "-1", "--grid-step", step)
+        assert code == 7 and doc is None
+        assert "grid step must lie in" in err
 
     def test_grid_without_p_exits_2(self, tmp_path, paw_edges, capsys):
         code, _, _ = run_cli(capsys, "oracle", "--q", paw_edges, "--mode", "grid")

@@ -16,7 +16,7 @@ from odg import (
     parse_edge_list,
     rank_of,
 )
-from odg.errors import MalformedInput, NotAContrast, ZeroRow
+from odg.errors import MalformedInput, NotAContrast, PreconditionViolated, ZeroRow
 
 
 def gaussian_rank(m, tol=1e-9):
@@ -200,6 +200,13 @@ class TestRank:
         assert tree7.gram_eigen[0] is vals
         assert np.all(np.diff(vals) <= 0.0)
         assert np.allclose((vecs * vals) @ vecs.T, tree7.gram, atol=1e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0, float("nan"), float("inf")])
+    def test_tolerance_outside_unit_interval_refused(self, paw_system, tol):
+        # at tol >= 1 no eigenvalue would count, and nan compares false with
+        # every eigenvalue: both read rank 0, which no criterion accepts
+        with pytest.raises(PreconditionViolated, match="rank tolerance"):
+            rank_of(paw_system, tol)
 
     def test_centered_contrasts(self):
         assert rank_of(instances.centered_contrasts(3)) == 2

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
+import odg.criteria
+import odg.optimizer
 from odg import (
     Design,
     OptimizeOptions,
@@ -24,6 +26,7 @@ from odg import (
     psi_p,
     rank_of,
 )
+from odg.criteria import _evaluate
 from odg.errors import DegenerateEigenspace, InfeasibleStart, NotConverged, TooLarge
 
 NEG_INF = float("-inf")
@@ -233,15 +236,58 @@ class TestGridOracle:
         assert result.criterion.psi <= lattice_value + 1e-9
 
 
+def _named_system(name):
+    if name == "tree7":
+        return instances.tree7_system()
+    system = instances.random_contrast_system(np.random.default_rng(12), 12, 6)
+    assert rank_of(system) == 6 < system.v - 1
+    return system
+
+
 @pytest.mark.parametrize("p", [0.0, -0.5, -2.0, NEG_INF], ids=["0", "-0.5", "-2", "-inf"])
 @pytest.mark.parametrize("name", ["tree7", "gauss12x6"])
 def test_numeric_criterion_is_psi_p_at_the_returned_design(name, p):
     # the descent's last iterate and psi_p evaluate the design by one route,
     # so the reported criterion is psi_p's to the bit
-    if name == "tree7":
-        system = instances.tree7_system()
-    else:
-        system = instances.random_contrast_system(np.random.default_rng(12), 12, 6)
-        assert rank_of(system) == 6 < system.v - 1
+    system = _named_system(name)
     result = optimize_phi_p(system, p)
     assert result.criterion == psi_p(system, result.design, p)
+
+
+def test_e_optimal_descent_eigensolve_budget(monkeypatch):
+    # K8's uniform design is E-optimal, so every temperature stage starts at
+    # a stationary point; a stage must stop there after a few eigensolves,
+    # not after a line search halved down to machine resolution
+    counts = {"eigh": 0, "stages": 0}
+    eigh_sym, descend = odg.criteria.eigh_sym, odg.optimizer._descend
+
+    def counted_eigh(m):
+        counts["eigh"] += 1
+        return eigh_sym(m)
+
+    def counted_descend(*args):
+        counts["stages"] += 1
+        return descend(*args)
+
+    monkeypatch.setattr(odg.criteria, "eigh_sym", counted_eigh)
+    monkeypatch.setattr(odg.optimizer, "_descend", counted_descend)
+    result = optimize_phi_p(graph_system(instances.complete_graph(8)), NEG_INF)
+    assert result.converged
+    assert abs(result.criterion.psi - 64.0) <= 64.0 * 1e-9
+    assert counts["stages"] >= 10
+    assert counts["eigh"] <= 10 * counts["stages"]
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, -2.0], ids=["0", "-0.5", "-2"])
+@pytest.mark.parametrize("name", ["tree7", "gauss12x6"])
+def test_descent_reaches_a_certified_design(name, p):
+    # phi_p is concave and homogeneous of degree 1, so the Frank-Wolfe gap
+    # of the criterion's gradient g bounds the efficiency from below by
+    # (w . g) / min_i g_i. A relative decrease of 1e-8 leaves a gap near its
+    # square root; run until no decrease is left to resolve
+    system = _named_system(name)
+    result = optimize_phi_p(system, p, OptimizeOptions(tol=1e-15))
+    assert result.converged
+    w = result.design.w
+    gradient = _evaluate(system.gram, w, rank_of(system), p).gradient()
+    assert float(w @ gradient) / gradient.min() >= 1.0 - 1e-6
