@@ -23,7 +23,6 @@ from .contrasts import (
 from .spectral import (
     Design,
     Spectrum,
-    cofactor_minor,
     covariance_matrix,
     eigensystem_sym,
     eigenvalues_sym,
@@ -83,7 +82,6 @@ __all__ = [
     "char_poly_coeffs",
     "check_invariance",
     "classify",
-    "cofactor_minor",
     "covariance_matrix",
     "criterion_from_spectrum",
     "d_optimal_uniform",

@@ -45,6 +45,7 @@ from .errors import (
     NotAContrast,
     NotConverged,
     NotInvariant,
+    PreconditionViolated,
     TooLarge,
     ZeroRow,
 )
@@ -287,11 +288,11 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     system = _load_system(args.q)
     try:
         if args.mode == "kappa":
-            graph = detect_pairwise(system)
-            if graph is None:
-                raise _ExitWith(2, "kappa mode requires a pairwise-comparison system")
             design = _load_design(args.w, system.v) if args.w else Design.uniform(system.v)
-            report = verify_d_identity(graph, design)
+            try:
+                report = verify_d_identity(system, design)
+            except PreconditionViolated as exc:
+                raise _ExitWith(2, f"kappa mode: {exc}") from None
             oracle = {
                 "mode": "kappa",
                 "rank": report.rank,

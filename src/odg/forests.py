@@ -1,12 +1,20 @@
-"""Rooted spanning forests and characteristic-polynomial coefficients.
+"""Exact principal minors, rooted spanning forests and characteristic-polynomial coefficients.
 
-Purely combinatorial cross-checks for the determinant-form criterion: for a
-pairwise system of rank r under design w, the product of the r largest
-eigenvalues of the vertex-weighted Laplacian (vertex weights 1/w) equals
-both the total weight of rooted spanning forests with v - r roots and the
-coefficient c_r of the Laplacian's characteristic polynomial. The forest
-enumeration is deliberately determinant-free so it can vouch for the
-spectral computations.
+Cross-checks for the determinant-form criterion that use no eigensolver.
+For a contrast system of rank r under design w, the product psi_0 of the r
+positive eigenvalues of K(w) equals the principal-minor total
+sum_{|S|=r} det(G_SS) / prod_{i in S} w_i of the Gram matrix G = q q^T
+(Cauchy-Binet), and the coefficient c_r of K(w)'s characteristic
+polynomial (Faddeev-LeVerrier trace recurrence). ``verify_d_identity``
+compares both with the spectral psi_0; for an integer system the minor
+total is exact, its minors and r coming from Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968).
+
+On a connected graph every (v-1)-principal minor is the spanning-tree
+count, and in general the minor total is the total weight of rooted
+spanning forests with v - r roots (vertex weights 1/w): the paper's
+D-identity. The forest enumeration below is exponential and stays as that
+graph identity, which the tests check the minor total against.
 
 A rooted spanning forest is an acyclic spanning subgraph whose edges are
 oriented toward a chosen set of roots, one root per component. Every
@@ -22,18 +30,29 @@ subset; no graph is rebuilt per subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .contrasts import ComparisonGraph, classify, graph_system
+from ._kernels import weighted_gram
+from .contrasts import ComparisonGraph, ContrastSystem, graph_system
 from .criteria import psi_p
-from .spectral import Design, vertex_weighted_laplacian
-from .errors import TooLarge
+from .spectral import Design
+from .errors import InfeasibleDesign, PreconditionViolated, TooLarge
 
 ENUMERATION_LIMIT = 12
+# Past 20 treatments the trace recurrence's coefficient drifts from the
+# exact total even at the uniform design (relative deviations up to 1.6e-9
+# at v = 20, 4.6e-6 at v = 25 and 4.8e-3 at v = 30 on random connected
+# graphs with 3v edges), so the report could no longer vouch for psi_0.
+# Designs far from uniform make it drift sooner, and ``passed`` says so.
+MINOR_V_LIMIT = 20
+# One Bareiss elimination per minor: at v = 20 the budget admits rank 16,
+# C(20, 16) = 4845 minors of about 16^3 / 3 integer updates each.
+MINOR_LIMIT = 5000
 
 
 @dataclass(frozen=True)
@@ -216,6 +235,82 @@ def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
     return signs * signed
 
 
+def _integers(m: np.ndarray) -> np.ndarray:
+    """``m`` as an object array of Python ints; refuses non-integer entries."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu" and not (np.isfinite(m).all() and np.array_equal(m, np.trunc(m))):
+        raise PreconditionViolated("exact minors need an integer contrast system or matrix")
+    return np.frompyfunc(int, 1, 1)(m)
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix, by Bareiss's elimination.
+
+    Every intermediate entry is a minor of the input (Sylvester's identity),
+    so each division by the previous pivot is exact. A column with no
+    nonzero entry left below the pivots is skipped; the determinant is 0
+    unless the matrix is square and of full rank.
+    """
+    a = [list(row) for row in rows]
+    n, m = len(a), len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(m):
+        pivot = next((i for i in range(rank, n) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        for row in a[rank + 1 :]:
+            f = row[col]
+            for j in range(col + 1, m):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev if rank == n == m else 0
+
+
+def integer_det(m: np.ndarray) -> int:
+    """Exact determinant of a square integer matrix."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise PreconditionViolated(f"expected a square matrix, got shape {m.shape}")
+    return _bareiss(_integers(m).tolist())[1]
+
+
+def _minor_total(system: ContrastSystem, design: Design) -> tuple[int, float]:
+    """Rank r of q and sum_{|S|=r} det(G_SS) / prod_{i in S} w_i, both exact.
+
+    With w_i = n_i / d_i read exactly from the float, the sum is one
+    integer, sum_S det(G_SS) prod_{i in S} d_i prod_{i not in S} n_i, over
+    prod_i n_i, rounded to float once.
+    """
+    qi = _integers(system.q)
+    v = system.v
+    if v > MINOR_V_LIMIT:
+        raise TooLarge(f"the exact minor total is limited to v <= {MINOR_V_LIMIT}, got v={v}")
+    gram = (qi @ qi.T).tolist()
+    rank = _bareiss(gram)[0]
+    count = math.comb(v, rank)
+    if count > MINOR_LIMIT:
+        raise TooLarge(f"rank {rank} of v={v} needs {count} principal minors, more than {MINOR_LIMIT}")
+    ratios = [w.as_integer_ratio() for w in design.w.tolist()]
+    numerator = 0
+    for subset in combinations(range(v), rank):
+        det = _bareiss([[gram[i][j] for j in subset] for i in subset])[1]
+        if det:
+            inside = set(subset)
+            for i, (num, den) in enumerate(ratios):
+                det *= den if i in inside else num
+            numerator += det
+    try:
+        return rank, numerator / math.prod(num for num, _ in ratios)
+    except OverflowError:
+        raise TooLarge("the minor total exceeds the float range") from None
+
+
 @dataclass(frozen=True)
 class DIdentityReport:
     rank: int
@@ -230,23 +325,30 @@ class DIdentityReport:
 
 
 def verify_d_identity(
-    graph: ComparisonGraph,
+    system: ContrastSystem | ComparisonGraph,
     design: Design,
-    rank: int | None = None,
     tol: float = 1e-6,
 ) -> DIdentityReport:
     """Compare the three determinant-criterion routes on one instance.
 
-    psi_det comes from the criterion (the eigenvalues of the weighted
-    Laplacian), forest_total from explicit enumeration, char_coefficient
-    from the trace recurrence on the same Laplacian; the report passes when
-    all pairwise relative deviations stay within ``tol``.
+    The report's ``rank`` is the exact rank of q. psi_det comes from the
+    criterion (the eigenvalues of K(w)); forest_total is the exact
+    principal-minor total, which on a graph is the total weight of rooted
+    spanning forests with v - rank roots; char_coefficient comes from the
+    trace recurrence on K(w). The report passes when all pairwise relative
+    deviations stay within ``tol``.
+
+    Raises ``PreconditionViolated`` on non-integer coefficients and
+    ``TooLarge`` past ``MINOR_V_LIMIT`` treatments or ``MINOR_LIMIT`` minors,
+    or when the total overflows a float.
     """
-    if rank is None:
-        rank = graph.v - classify(graph).component_count
-    lap = vertex_weighted_laplacian(graph, design)
-    psi_det = psi_p(graph_system(graph), design, 0.0, rank=rank).psi
-    forest_total = rooted_forest_weight(graph, design, graph.v - rank)
+    if isinstance(system, ComparisonGraph):
+        system = graph_system(system)
+    if design.v != system.v:
+        raise InfeasibleDesign(f"design has {design.v} weights for a system on {system.v} treatments")
+    rank, forest_total = _minor_total(system, design)
+    psi_det = psi_p(system, design, 0.0, rank=rank).psi
+    lap = weighted_gram(system.gram, design.w)
     coeffs = char_poly_coeffs(lap)
     char_coefficient = float(coeffs[rank])
     values = (psi_det, forest_total, char_coefficient)
@@ -255,8 +357,8 @@ def verify_d_identity(
         for b in values:
             max_rel = max(max_rel, abs(a - b) / max(abs(a), abs(b), 1e-300))
     lap_norm = float(np.linalg.norm(lap))
-    trailing = float(coeffs[graph.v])
-    trailing_ok = abs(trailing) <= 1e-8 * lap_norm**graph.v
+    trailing = float(coeffs[system.v])
+    trailing_ok = abs(trailing) <= 1e-8 * lap_norm**system.v
     return DIdentityReport(
         rank=rank,
         psi_det=psi_det,

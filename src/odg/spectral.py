@@ -32,7 +32,6 @@ from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
 from .errors import (
     InfeasibleDesign,
     NotSymmetric,
-    PreconditionViolated,
     RankDeficient,
 )
 
@@ -158,21 +157,3 @@ def vertex_weighted_laplacian(graph: ComparisonGraph, design: Design) -> np.ndar
     if design.v != graph.v:
         raise InfeasibleDesign(f"design has {design.v} weights for a graph on {graph.v} vertices")
     return weighted_gram(graph_system(graph).gram, design.w)
-
-
-def cofactor_minor(m: np.ndarray, i: int, j: int) -> float:
-    """Determinant of ``m`` with row i and column j removed (0-indexed).
-
-    Requires a symmetric matrix with zero row sums; for such matrices all
-    first minors agree up to the (-1)^{i+j} sign.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PreconditionViolated(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
-        raise PreconditionViolated("matrix is not symmetric within tolerance")
-    if float(np.abs(m.sum(axis=1)).max()) > _SYM_TOL * scale:
-        raise PreconditionViolated("matrix row sums are not zero within tolerance")
-    sub = np.delete(np.delete(m, i, axis=0), j, axis=1)
-    return float(np.linalg.det(sub))

@@ -143,5 +143,29 @@ def random_contrast_system(rng: np.random.Generator, v: int, s: int) -> Contrast
     return ContrastSystem(q)
 
 
+def random_integer_system(rng: np.random.Generator, v: int, s: int) -> ContrastSystem:
+    """Each column a sum of three comparisons e_i - e_j with weights 1 or 2;
+    redrawn until no row is zero."""
+    while True:
+        q = np.zeros((v, s))
+        for k in range(s):
+            for _ in range(3):
+                i, j = rng.choice(v, 2, replace=False)
+                c = rng.integers(1, 3)
+                q[i, k] += c
+                q[j, k] -= c
+        if q.any(axis=1).all():
+            return ContrastSystem(q)
+
+
+def disjoint_union(*graphs: ComparisonGraph) -> ComparisonGraph:
+    """The graphs side by side, vertices numbered in the order given."""
+    edges, offset = [], 0
+    for graph in graphs:
+        edges.extend((a + offset, b + offset) for a, b in graph.edges)
+        offset += graph.v
+    return ComparisonGraph(offset, tuple(edges))
+
+
 def pairwise_system(graph: ComparisonGraph) -> ContrastSystem:
     return graph_system(graph)

@@ -8,7 +8,7 @@ from odg import (
     ComparisonGraph,
     Design,
     char_poly_coeffs,
-    classify,
+    detect_pairwise,
     eigenvalues_sym,
     graph_system,
     rooted_forest_weight,
@@ -16,8 +16,8 @@ from odg import (
     verify_d_identity,
     vertex_weighted_laplacian,
 )
-from odg.forests import _weight_total_from_alpha
-from odg.errors import TooLarge
+from odg.forests import MINOR_LIMIT, MINOR_V_LIMIT, _weight_total_from_alpha
+from odg.errors import PreconditionViolated, TooLarge
 
 
 class TestForestWeights:
@@ -152,6 +152,46 @@ class TestDIdentity:
             assert report.passed, report
 
     def test_too_large(self):
-        big = ComparisonGraph(13, tuple((i + 1, i) for i in range(12)))
+        # past the forest enumeration's bound the minor total still vouches
+        path13 = ComparisonGraph(13, tuple((i + 1, i) for i in range(12)))
+        assert verify_d_identity(path13, Design.uniform(13)).passed
+        path21 = ComparisonGraph(MINOR_V_LIMIT + 1, tuple((i + 1, i) for i in range(MINOR_V_LIMIT)))
         with pytest.raises(TooLarge):
-            verify_d_identity(big, Design.uniform(13))
+            verify_d_identity(path21, Design.uniform(MINOR_V_LIMIT + 1))
+        # rank 10 of 20 treatments needs C(20, 10) minors
+        halves = instances.random_integer_system(np.random.default_rng(1), 20, 10)
+        assert math.comb(20, 10) > MINOR_LIMIT
+        with pytest.raises(TooLarge):
+            verify_d_identity(halves, Design.uniform(20))
+        # 1/w^19 past the float range
+        tiny = np.full(20, 1e-17)
+        tiny[-1] = 1.0 - tiny[:-1].sum()
+        with pytest.raises(TooLarge, match="float range"):
+            verify_d_identity(ComparisonGraph(20, tuple((i + 1, i) for i in range(19))), Design(tiny))
+
+    def test_minor_total_is_forest_total(self, rng):
+        for components in (1, 1, 2, 3) * 5:
+            parts = [instances.random_connected_graph(rng, 8 // components, 2) for _ in range(components)]
+            graph = instances.disjoint_union(*parts)
+            d = instances.random_design(rng, graph.v)
+            report = verify_d_identity(graph, d)
+            assert report.rank == graph.v - components and report.passed
+            forests = rooted_forest_weight(graph, d, components)
+            assert math.isclose(report.forest_total, forests, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("v", [7, 10, 12])
+    def test_integer_systems(self, rng, v):
+        for s in (3, v // 2, v - 1, 2 * v):
+            system = instances.random_integer_system(rng, v, s)
+            assert detect_pairwise(system) is None
+            d = instances.random_design(rng, v)
+            report = verify_d_identity(system, d)
+            # the trace recurrence loses accuracy on such spread spectra, so
+            # only the exact total is held to the spectral psi_0 here, whose
+            # rounding error grows with lambda_1 / lambda_r
+            assert report.rank == min(s, v - 1)
+            assert math.isclose(report.forest_total, report.psi_det, rel_tol=1e-8)
+
+    def test_non_integer_system_refused(self):
+        with pytest.raises(PreconditionViolated, match="integer"):
+            verify_d_identity(instances.control_average_column(4), Design.uniform(4))

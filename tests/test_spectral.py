@@ -9,7 +9,6 @@ from odg import (
     ComparisonGraph,
     Design,
     Spectrum,
-    cofactor_minor,
     covariance_matrix,
     criterion_from_spectrum,
     detect_pairwise,
@@ -22,11 +21,13 @@ from odg import (
     pseudo_information_matrix,
     psi_p,
     rank_of,
+    rooted_forest_weight,
     vertex_weighted_laplacian,
 )
 from odg._kernels import eigh_sym
 from odg.cli import main as cli_main
 from odg.closed_form import e_optimal_bipartite
+from odg.forests import integer_det
 from odg.errors import (
     InfeasibleDesign,
     NonPositiveEigenvalue,
@@ -222,39 +223,51 @@ class TestEigensolver:
             assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-10
 
 
+def _first_minor(m: np.ndarray, i: int, j: int) -> np.ndarray:
+    return np.delete(np.delete(m, i, axis=0), j, axis=1)
+
+
 class TestCofactorMinor:
+    """First minors of integer Gram matrices, exact (``forests.integer_det``)."""
+
     def test_single_edge_gram(self):
-        gram = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert cofactor_minor(gram, 0, 0) == 1.0
+        gram = np.array([[1, -1], [-1, 1]])
+        assert integer_det(_first_minor(gram, 0, 0)) == 1
 
     def test_tree7_minors_all_equal(self, tree7):
         gram = tree7.q @ tree7.q.T
-        minors = [cofactor_minor(gram, i, i) for i in range(7)]
-        assert np.allclose(minors, minors[0], rtol=1e-12)
+        assert [integer_det(_first_minor(gram, i, i)) for i in range(7)] == [1] * 7
 
     def test_sign_rule(self, tree7):
         gram = tree7.q @ tree7.q.T
-        assert math.isclose(cofactor_minor(gram, 0, 1), -cofactor_minor(gram, 0, 0), rel_tol=1e-12)
+        assert integer_det(_first_minor(gram, 0, 1)) == -integer_det(_first_minor(gram, 0, 0))
 
     def test_cofactor_lemma_random_systems(self, rng):
-        for _ in range(30):
-            v = int(rng.integers(3, 7))
-            system = instances.random_contrast_system(rng, v, int(rng.integers(1, 6)))
-            gram = system.q @ system.q.T
-            base = cofactor_minor(gram, 0, 0)
-            # minors are determinants of (v-1)-sized blocks; when the system is
-            # rank deficient they all vanish, so scale by the entry magnitude
-            scale = max(abs(base), np.abs(gram).max() ** (v - 1) * 1e-6)
+        # every first minor of a graph Laplacian is +-tau(G); under the
+        # uniform design each of the tau(G) spanning trees has v roots of
+        # weight v^(v-1), so the one-root forest total is tau(G) v^v
+        for _ in range(15):
+            graph = instances.random_connected_graph(rng, 7)
+            gram = graph_system(graph).gram
+            v = graph.v
+            tau = round(rooted_forest_weight(graph, Design.uniform(v), 1) / v**v)
             for i in range(v):
                 for j in range(v):
-                    expected = (-1) ** (i + j) * base
-                    assert abs(cofactor_minor(gram, i, j) - expected) <= 1e-8 * scale
+                    assert integer_det(_first_minor(gram, i, j)) == (-1) ** (i + j) * tau
+        # any Gram matrix with zero row sums has all first minors equal up to sign
+        for _ in range(15):
+            v = int(rng.integers(3, 7))
+            gram = instances.random_integer_system(rng, v, int(rng.integers(1, 6))).gram
+            base = integer_det(_first_minor(gram, 0, 0))
+            for i in range(v):
+                for j in range(v):
+                    assert integer_det(_first_minor(gram, i, j)) == (-1) ** (i + j) * base
 
     def test_precondition_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            cofactor_minor(np.array([[1.0, 0.0], [0.0, 1.0]]), 0, 0)
-        with pytest.raises(PreconditionViolated):
-            cofactor_minor(np.array([[1.0, -1.0], [0.0, 0.0]]), 0, 0)
+        with pytest.raises(PreconditionViolated, match="square"):
+            integer_det(np.ones((2, 3)))
+        with pytest.raises(PreconditionViolated, match="integer"):
+            integer_det(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
 def test_spectrum_requires_descending_values():
