@@ -11,12 +11,14 @@ Coefficient files are either CSV (one row per treatment, comma-separated,
 no header) or an edge list whose first line is ``v=<n>`` followed by one
 1-indexed ``j i`` pair per line for the comparison of treatment j against
 treatment i. Design files hold v decimal weights separated by commas or
-whitespace. ``--p`` accepts a float in [-inf, 0] or the literal ``neg-inf``.
+whitespace. ``--p`` accepts a float in [-inf, 0] or the literal ``neg-inf``,
+negative ones also as a separate token (``--p -1e-3``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -365,6 +367,7 @@ def _cmd_export_dot(args) -> tuple[dict, int]:
     return doc, 0
 
 
+@functools.cache  # parse_args keeps no state between calls, so one tree serves them all
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="odg", description="Optimal treatment proportions for contrast systems")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -411,8 +414,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_p_values(argv: list[str]) -> list[str]:
+    """Write ``--p X`` as ``--p=X`` wherever X is a negative value ``--p`` accepts.
+
+    argparse reads a token such as ``-1e-3`` or ``-inf`` as an option, not
+    as the value of the option before it.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--p" and token.startswith("-"):
+            try:
+                _parse_p(token)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                joined[-1] = f"--p={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_p_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         doc, code = args.handler(args)
     except _ExitWith as exc:

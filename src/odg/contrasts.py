@@ -52,7 +52,12 @@ class ContrastSystem:
         if zero.size:
             raise ZeroRow(f"treatment {zero[0] + 1} has an all-zero coefficient row")
         q.flags.writeable = False
-        gram = q @ q.T
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            gram = q @ q.T
+        diag = np.diagonal(gram)
+        if not (np.isfinite(gram).all() and diag.all()):  # squares overflow or underflow to zero
+            low, high = float(diag.min()), float(diag.max())
+            raise MalformedInput(f"q q^T has diagonal {low!r} to {high!r}: rescale the coefficients")
         gram.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "gram", gram)
@@ -89,21 +94,28 @@ class ComparisonGraph:
     def __post_init__(self):
         if self.v < 2:
             raise MalformedInput(f"graph needs at least 2 vertices, got {self.v}")
-        seen = set()
-        deg = [0] * self.v
-        for a, b in self.edges:
-            if not (0 <= a < self.v and 0 <= b < self.v):
+        s = len(self.edges)
+        try:
+            ends = np.array(self.edges, dtype=np.int64).reshape(s, 2)
+        except OverflowError:  # beyond int64 is out of range for any v: clip to -1 or v
+            ends = np.clip(np.array(self.edges, dtype=object), -1, self.v).astype(np.int64).reshape(s, 2)
+        outside = ((ends < 0) | (ends >= self.v)).any(axis=1)
+        loop = ends[:, 0] == ends[:, 1]
+        lo, hi = np.sort(ends, axis=1).T
+        order = np.lexsort((np.arange(s), hi, lo))  # by vertex pair, then input order
+        repeat = np.zeros(s, dtype=bool)
+        repeat[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+        bad = outside | loop | repeat
+        if bad.any():  # the first offending edge, checked in this order
+            k = int(bad.argmax())
+            a, b = self.edges[k]
+            if outside[k]:
                 raise MalformedInput(f"edge ({a + 1}, {b + 1}) out of range for v={self.v}")
-            if a == b:
+            if loop[k]:
                 raise MalformedInput(f"loop at vertex {a + 1}")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise MalformedInput(f"repeated comparison between {a + 1} and {b + 1}")
-            seen.add(key)
-            deg[a] += 1
-            deg[b] += 1
-        object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in self.edges))
-        object.__setattr__(self, "degrees", tuple(deg))
+            raise MalformedInput(f"repeated comparison between {a + 1} and {b + 1}")
+        object.__setattr__(self, "edges", tuple(zip(*ends.T.tolist())))
+        object.__setattr__(self, "degrees", tuple(np.bincount(ends.ravel(), minlength=self.v).tolist()))
 
     @property
     def s(self) -> int:
@@ -126,9 +138,8 @@ def parse_contrast_matrix(text: str) -> ContrastSystem:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        cells = [c.strip() for c in line.split(",")]
         try:
-            rows.append([float(c) for c in cells])
+            rows.append(list(map(float, line.split(","))))  # float() strips the whitespace
         except ValueError:
             raise MalformedInput(f"line {lineno}: non-numeric value") from None
     if not rows:
@@ -143,7 +154,9 @@ def parse_edge_list(text: str) -> ComparisonGraph:
     """Parse an edge list: first line ``v=<n>``, then one ``j i`` pair per line.
 
     Each pair is 1-indexed and encodes the comparison of treatment j against
-    treatment i.
+    treatment i. A list with more than twice as many treatments as
+    comparisons leaves a treatment in none, so no contrast system can come
+    of it: it raises ``ZeroRow`` before anything of size v is made.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].replace(" ", "").startswith("v="):
@@ -164,6 +177,9 @@ def parse_edge_list(text: str) -> ComparisonGraph:
         if not (1 <= j <= v and 1 <= i <= v):
             raise MalformedInput(f"edge ({j}, {i}) out of range for v={v}")
         edges.append((j - 1, i - 1))
+    if v > 2 * len(edges):  # a treatment in no comparison: name it, allocating nothing of size v
+        used = {x for edge in edges for x in edge}
+        raise ZeroRow(f"treatment {min(set(range(len(used) + 1)) - used) + 1} has an all-zero coefficient row")
     return ComparisonGraph(v, tuple(edges))
 
 
@@ -175,22 +191,16 @@ def detect_pairwise(system: ContrastSystem) -> Optional[ComparisonGraph]:
     also return None.
     """
     q = system.q
-    edges = []
-    seen = set()
-    for k in range(system.s):
-        col = q[:, k]
-        plus = np.flatnonzero(col == 1.0)
-        minus = np.flatnonzero(col == -1.0)
-        rest = np.flatnonzero(col != 0.0)
-        if plus.size != 1 or minus.size != 1 or rest.size != 2:
-            return None
-        j, i = int(plus[0]), int(minus[0])
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            return None
-        seen.add(key)
-        edges.append((j, i))
-    return ComparisonGraph(system.v, tuple(edges))
+    tails, heads = q.argmax(axis=0), q.argmin(axis=0)
+    columns = np.arange(system.s)
+    # two nonzeros, the largest exactly 1 and the smallest exactly -1
+    pair = np.all(q[tails, columns] == 1.0) and np.all(q[heads, columns] == -1.0)
+    if not (pair and np.all(np.count_nonzero(q, axis=0) == 2)):
+        return None
+    keys = np.sort(np.minimum(tails, heads) * system.v + np.maximum(tails, heads))
+    if np.any(keys[1:] == keys[:-1]):  # a repeated or reversed comparison
+        return None
+    return ComparisonGraph(system.v, tuple(zip(tails.tolist(), heads.tolist())))
 
 
 def _adjacency(graph: ComparisonGraph) -> list[list[int]]:
@@ -247,9 +257,8 @@ def classify(graph: ComparisonGraph) -> GraphClassification:
 def incidence_matrix(graph: ComparisonGraph) -> np.ndarray:
     """v-by-s incidence matrix: +1 at the edge tail, -1 at the head."""
     r = np.zeros((graph.v, graph.s))
-    for k, (a, b) in enumerate(graph.edges):
-        r[a, k] = 1.0
-        r[b, k] = -1.0
+    ends = np.array(graph.edges, dtype=np.intp).reshape(graph.s, 2)
+    r[ends.T, np.arange(graph.s)] = [[1.0], [-1.0]]
     return r
 
 

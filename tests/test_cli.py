@@ -198,6 +198,44 @@ class TestOptimize:
             main(["optimize", "--q", tree7_csv, "--p", "0.5"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-300", "-2.5e+0", "-inf", "-1"])
+    def test_negative_p_as_separate_token(self, tree7_csv, value, capsys):
+        # argparse reads "-1e-3" alone as an option; "--p -1e-3" must still mean --p=-1e-3
+        code, doc, _ = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", value)
+        assert code == 0
+        assert (code, doc) == run_cli(capsys, "optimize", "--q", tree7_csv, f"--p={value}")[:2]
+
+    def test_parser_reused_without_state(self, tree7_csv, capsys):
+        # the argument parser is built once per process; no value carries over
+        code, doc, _ = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", "-2", "--tol", "1e-3")
+        assert code == 0 and doc["inputs"]["tol"] == 1e-3
+        code, doc, _ = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", "-2")
+        assert code == 0 and doc["inputs"]["tol"] == 1e-08
+
+
+@pytest.mark.parametrize("text", ["1e308,-1e308\n-1e308,1e308\n", "1e-200\n-1e-200\n"])
+@pytest.mark.parametrize("command", ["eval", "optimize"])
+@pytest.mark.parametrize("p", ["-1", "0", "neg-inf"])
+def test_gram_out_of_float_range_exits_2(tmp_path, capsys, text, command, p):
+    # q q^T overflows to inf or underflows to 0: refused before any spectrum is read
+    q = tmp_path / "q.csv"
+    q.write_text(text)
+    w = ["--w", write_weights(tmp_path, "w.csv", [0.5, 0.5])] if command == "eval" else []
+    code, doc, err = run_cli(capsys, command, "--q", str(q), *w, "--p", p)
+    assert code == 2 and doc is None
+    assert err.splitlines() == [err.strip()] and err.startswith("error: q q^T has diagonal")
+
+
+@pytest.mark.parametrize("command", ["eval", "optimize"])
+def test_huge_vertex_count_exits_2(tmp_path, capsys, command):
+    # nothing of size v is made: the treatments past 2 per comparison are in none
+    q = tmp_path / "q.edges"
+    q.write_text("v=99999999999\n1 2\n")
+    w = ["--w", write_weights(tmp_path, "w.csv", [0.5, 0.5])] if command == "eval" else []
+    code, doc, err = run_cli(capsys, command, "--q", str(q), *w, "--p", "-1")
+    assert code == 2 and doc is None
+    assert err == "error: treatment 3 has an all-zero coefficient row\n"
+
 
 class TestSymmetry:
     def test_two_groups_cyclic(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
@@ -42,6 +42,58 @@ def gaussian_rank(m, tol=1e-9):
     return rank
 
 
+def detect_pairwise_reference(system):
+    """Column-by-column pairwise detection: the loop that ``detect_pairwise`` vectorises."""
+    edges, seen = [], set()
+    for k in range(system.s):
+        col = system.q[:, k]
+        plus, minus = np.flatnonzero(col == 1.0), np.flatnonzero(col == -1.0)
+        if plus.size != 1 or minus.size != 1 or np.count_nonzero(col) != 2:
+            return None
+        j, i = int(plus[0]), int(minus[0])
+        if (min(i, j), max(i, j)) in seen:
+            return None
+        seen.add((min(i, j), max(i, j)))
+        edges.append((j, i))
+    return edges
+
+
+@st.composite
+def mixed_columns(draw):
+    """A comparison graph's columns with at most two odd columns put in.
+
+    The odd kinds are the ones pairwise detection must tell apart: a pair
+    scaled by +-2 or +-0.5, a pair with one entry 1e-13 off +-1 (still a
+    contrast within the column-sum tolerance), three or four entries, and a
+    copy of an earlier column, as drawn or reversed. A treatment left in no
+    column gets a pairwise one, so that the system is valid.
+    """
+    v = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(a, b) for a in range(v) for b in range(v) if a != b]
+    columns = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique_by=lambda e: frozenset(e))):
+        columns.append(np.zeros(v))
+        columns[-1][[a, b]] = (1.0, -1.0)
+    odd_kinds = st.sampled_from(["scaled", "near", "many", "copy", "reversed"])
+    for kind in draw(st.lists(odd_kinds, max_size=2)):
+        col = np.zeros(v)
+        if kind in ("copy", "reversed"):
+            col = draw(st.sampled_from(columns)) * (1.0 if kind == "copy" else -1.0)
+        elif kind == "many" and v >= 4:
+            entries = draw(st.sampled_from([(1, 1, -2), (1, -0.5, -0.5), (1, -1, 0.5, -0.5), (1, -1, 1, -1)]))
+            col[draw(st.permutations(range(v)))[: len(entries)]] = entries
+        elif kind == "near":
+            col[list(draw(st.sampled_from(pairs)))] = draw(st.sampled_from([(1, -1 + 1e-13), (1 - 1e-13, -1)]))
+        else:
+            col[list(draw(st.sampled_from(pairs)))] = draw(st.sampled_from([2.0, -2.0, 0.5, -0.5])) * np.array([1, -1])
+        columns.insert(draw(st.integers(0, len(columns))), col)
+    for i in range(v):
+        if not any(col[i] for col in columns):
+            columns.append(np.zeros(v))
+            columns[-1][[i, (i + 1) % v]] = (1.0, -1.0)
+    return ContrastSystem(np.column_stack(columns))
+
+
 class TestParsing:
     def test_single_comparison(self):
         system = parse_contrast_matrix("-1\n1\n")
@@ -77,6 +129,20 @@ class TestParsing:
         assert graph.v == 3
         assert graph.edges == ((1, 0), (2, 1))
 
+    @pytest.mark.parametrize("v", [3, 10**11, 10**40])
+    def test_treatment_in_no_comparison(self, v):
+        # more treatments than two per comparison: refused before anything of size v is made
+        with pytest.raises(ZeroRow, match="^treatment 3 has an all-zero coefficient row$"):
+            parse_edge_list(f"v={v}\n1 2\n")
+        with pytest.raises(ZeroRow, match="^treatment 1 has an all-zero coefficient row$"):
+            parse_edge_list(f"v={v}\n3 2\n")
+
+    @pytest.mark.parametrize("text", ["1e308,-1e308\n-1e308,1e308\n", "1e-200\n-1e-200\n"])
+    def test_gram_out_of_float_range_refused(self, text):
+        # squares that overflow to inf or underflow to 0 leave no usable spectrum
+        with pytest.raises(MalformedInput, match="rescale the coefficients"):
+            parse_contrast_matrix(text)
+
     def test_edge_list_errors(self):
         with pytest.raises(MalformedInput):
             parse_edge_list("2 1\n")
@@ -106,6 +172,22 @@ class TestDetectPairwise:
     def test_duplicate_comparison_rejected(self):
         q = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert detect_pairwise(ContrastSystem(q)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_columns())
+    @example(ContrastSystem(np.array([[1, 0, 0, 0.5], [-1, 1, 0, 1], [0, -1, 1, -0.5], [0, 0, -1, -1]])))
+    @example(ContrastSystem(np.array([[1 - 1e-13, 0], [-1, 1], [0, -1]])))
+    @example(ContrastSystem(np.array([[1, 0], [-1 + 1e-13, 1], [0, -1]])))
+    @example(ContrastSystem(np.array([[1, 0, -1], [-1, 1, 1], [0, -1, 0]])))
+    @example(ContrastSystem(np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1]])))
+    def test_agrees_with_column_loop(self, system):
+        graph = detect_pairwise(system)
+        expected = detect_pairwise_reference(system)
+        if expected is None:
+            assert graph is None
+        else:
+            assert graph is not None and graph.edges == tuple(expected)
+            assert np.array_equal(incidence_matrix(graph), system.q)
 
 
 class TestClassify:
@@ -252,6 +334,34 @@ class TestGraphValidation:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(MalformedInput):
             ComparisonGraph(3, ((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize(
+        "v, edges, message",
+        [
+            # the first offending edge in input order wins
+            (4, ((0, 1), (2, 2), (1, 0)), "loop at vertex 3"),
+            (4, ((0, 1), (1, 0), (2, 2)), "repeated comparison between 2 and 1"),
+            (4, ((0, 1), (1, 0), (0, 4)), "repeated comparison between 2 and 1"),
+            (4, ((0, 1), (0, 4), (1, 0)), r"edge \(1, 5\) out of range for v=4"),
+            (4, ((0, 1), (2, 3), (3, 2), (0, 1)), "repeated comparison between 4 and 3"),
+            # within one edge: range, then loop, then repeat
+            (4, ((4, 4),), r"edge \(5, 5\) out of range for v=4"),
+            (4, ((-1, -1),), r"edge \(0, 0\) out of range for v=4"),
+            (4, ((1, 1), (1, 1)), "loop at vertex 2"),
+            # an index beyond int64 is out of range, not an OverflowError
+            (4, ((0, 1), (2, 2**70)), rf"edge \(3, {2**70 + 1}\) out of range for v=4"),
+            (4, ((0, 1), (-(2**70), 2), (1, 1)), rf"edge \({1 - 2**70}, 3\) out of range for v=4"),
+        ],
+    )
+    def test_first_offending_edge_message(self, v, edges, message):
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            ComparisonGraph(v, edges)
+
+    def test_normalises_edges_and_counts_degrees(self):
+        graph = ComparisonGraph(5, [(np.int64(1), 0), (3, 1)])
+        assert graph.edges == ((1, 0), (3, 1)) and all(type(x) is int for edge in graph.edges for x in edge)
+        assert graph.degrees == (1, 2, 0, 1, 0)
+        assert ComparisonGraph(3, ()).degrees == (0, 0, 0)
 
     def test_degree_sum_is_twice_edge_count(self, rng):
         for _ in range(30):
