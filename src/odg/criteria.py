@@ -12,6 +12,10 @@ positive spectrum (see ``spectral``):
 p = 0, -1, -inf give the classical D-, A- and E-criteria. Smaller psi is
 better; phi is the equivalent maximization form with phi = psi^(-1/r) at
 p = 0, phi = (psi/r)^(1/p) for finite p < 0, and phi = 1/psi at p = -inf.
+At finite p < 0, phi is computed in the log domain from the ratios
+lambda_j / lambda_1 (``_log_power_mean``), never from psi: it stays finite
+where psi overflows (psi = inf at p = -300 on a seven-treatment tree) and
+tends to the p = 0 value as p -> 0-.
 
 Each design, iterate or report, is one ``_evaluate``: a single
 eigendecomposition of K(w), made by ``eigh_sym``, into an ``_Evaluation``
@@ -106,7 +110,20 @@ def criterion_from_spectrum(spectrum: Spectrum, rank: int, p: float) -> Criterio
         return CriterionValue(p=p, psi=value, phi=1.0 / value, rank=rank)
     if p == 0.0:  # value is log psi
         return CriterionValue(p=p, psi=math.exp(value), phi=math.exp(-value / rank), rank=rank)
-    return CriterionValue(p=p, psi=value, phi=(value / rank) ** (1.0 / p), rank=rank)
+    return CriterionValue(p=p, psi=value, phi=math.exp(-_log_power_mean(top, -p)), rank=rank)
+
+
+def _log_power_mean(top: np.ndarray, q: float) -> float:
+    """-log phi_p at q = -p > 0: log lambda_1 + (1/q) log mean_j t_j with
+    l_j = log(lambda_j / lambda_1) and t_j = exp(q l_j) in (0, 1], so no
+    power overflows. Where q max_j |l_j| < 1e-5 the mean rounds toward 1
+    and its log loses its digits; the series mean l + (q/2) var l takes its
+    place, which tends to p = 0's mean l as p -> 0-.
+    """
+    ell = np.log(top / top[0])
+    if q * -ell[-1] < 1e-5:
+        return math.log(top[0]) + float(np.mean(ell) + 0.5 * q * np.var(ell))
+    return math.log(top[0]) + math.log(float(np.mean(np.exp(q * ell)))) / q
 
 
 @dataclass(eq=False)

@@ -9,7 +9,10 @@ is left that the criterion value can resolve. All criteria handled here are
 convex in w, so the iteration converges to the global minimum. The
 nonsmooth largest-eigenvalue criterion (p = -inf) is minimized through a
 log-sum-exp smoothing of the spectrum whose temperature is annealed toward
-zero, finishing with a polish pass at the final temperature.
+zero, finishing with a polish pass at the final temperature. Each stage
+opens with the previous stage's last Barzilai-Borwein step, scaled by the
+temperature ratio: the smoothing's curvature grows as 1 / temperature, so
+a unit first move would be halved some 25 times before it is accepted.
 
 Each design, iterate or report, is one ``criteria._evaluate``: one
 eigendecomposition of K(w). The returned design is the last accepted
@@ -89,7 +92,7 @@ def _orbit_average(orbits: OrbitReduction) -> Callable:
     return average
 
 
-def _descend(current, tol, max_iter, averager):
+def _descend(current, tol, max_iter, averager, step=None):
     """Monotone spectral projected gradient from the evaluation ``current``;
     each trial point is evaluated as ``current`` was.
 
@@ -97,7 +100,9 @@ def _descend(current, tol, max_iter, averager):
     last change of design and of gradient), capped at 2 / |grad| since the
     simplex has diameter sqrt(2), projects once to get the direction d, and
     backtracks by halving lambda along w + lambda d until the Armijo test
-    holds. Returns (last accepted evaluation, iterations, converged). It
+    holds. The first iteration takes ``step``, the last stage's step when
+    annealing; with none given, at most a unit move. Returns (last accepted
+    evaluation, iterations, converged, last Barzilai–Borwein step). It
     converges when the relative decrease of an accepted step falls below
     ``tol``, or when the decrease the line search predicts, -lambda grad'd,
     falls below RESOLUTION times the criterion value: no decrease is left
@@ -105,7 +110,8 @@ def _descend(current, tol, max_iter, averager):
     gradient at the current point is not finite (it overflows at large -p).
     """
     grad = averager(current.gradient())
-    step = 1.0 / max(math.hypot(*grad), 1.0)  # no curvature seen yet: at most a unit move
+    if step is None:  # no curvature seen yet: at most a unit move
+        step = 1.0 / max(math.hypot(*grad), 1.0)
     iterations = 0
     converged = False
     while iterations < max_iter:
@@ -142,7 +148,7 @@ def _descend(current, tol, max_iter, averager):
         if (value - trial.value) / max(abs(value), 1e-300) < tol:
             converged = True
             break
-    return current, iterations, converged
+    return current, iterations, converged, step
 
 
 def _initial_point(system: ContrastSystem, p: float, opts: OptimizeOptions) -> np.ndarray:
@@ -168,9 +174,12 @@ def optimize_phi_p(
     Finite p (including 0) runs one spectral projected gradient descent
     (``_descend``); p = -inf runs one per temperature, annealing the
     smoothing from 0.1 * lambda_max down by factors of 5 to a 1e-9 relative
-    floor, then polishes. Each descent stops when the relative decrease
-    falls below ``opts.tol`` or when no decrease is left to resolve. The
-    result's criterion and certificate read the last iterate's evaluation.
+    floor, then polishes. Each stage after the first starts from the last
+    stage's Barzilai-Borwein step times the temperature ratio (1/5, or more
+    where the floor stops the cooling). Each descent stops when the
+    relative decrease falls below ``opts.tol`` or when no decrease is left
+    to resolve. The result's criterion and certificate read the last
+    iterate's evaluation.
     ``converged`` reports whether the final descent stopped so within the
     iteration budget; it certifies nothing at finite p.
     """
@@ -189,23 +198,27 @@ def optimize_phi_p(
     total_iterations = 0
     if p == -math.inf:
         # each temperature starts from the last design's eigendecomposition
+        # and the last step, scaled by the temperature ratio
         scale = final.value
         temperature = 0.1 * scale
         temperature_floor = 1e-9 * scale
         converged = False
+        step = None
         while total_iterations < opts.max_iter:
-            final, used, converged = _descend(
-                replace(final, temperature=temperature), opts.tol, opts.max_iter - total_iterations, averager
+            final, used, converged, step = _descend(
+                replace(final, temperature=temperature), opts.tol, opts.max_iter - total_iterations, averager, step
             )
             total_iterations += used
             if temperature <= temperature_floor:
                 break
-            temperature = max(temperature / 5.0, temperature_floor)
+            cooled = max(temperature / 5.0, temperature_floor)
+            step *= cooled / temperature
+            temperature = cooled
         converged = converged and temperature <= temperature_floor
         final = replace(final, temperature=None)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # large -p overflows; _descend reports it
-            final, total_iterations, converged = _descend(final, opts.tol, opts.max_iter, averager)
+            final, total_iterations, converged, _ = _descend(final, opts.tol, opts.max_iter, averager)
 
     return OptimizationResult(
         design=Design(final.w),

@@ -81,6 +81,28 @@ class TestPsiValues:
         assert math.isclose(value.phi, info_min, rel_tol=1e-8)
 
 
+class TestPhiAcrossP:
+    # phi_p = (mean_j lambda_j^-p)^(1/p) is a power mean of the eigenvalues,
+    # inverted: continuous in p, non-decreasing in p, and between 1/lambda_1
+    # (p = -inf) and the geometric form (p = 0)
+    def test_continuous_as_p_tends_to_zero(self, tree7):
+        at_zero = psi_p(tree7, Design.uniform(7), 0.0).phi
+        for p in (-1e-300, -1e-12):
+            assert math.isclose(psi_p(tree7, Design.uniform(7), p).phi, at_zero, rel_tol=1e-10)
+
+    def test_finite_at_large_negative_p(self, tree7):
+        with np.errstate(over="ignore"):  # psi itself overflows at p = -300
+            phi = psi_p(tree7, Design.uniform(7), -300.0).phi
+        assert math.isclose(phi, 0.0310486, rel_tol=1e-5)
+        assert psi_p(tree7, Design.uniform(7), NEG_INF).phi < phi < psi_p(tree7, Design.uniform(7), -2.0).phi
+
+    def test_non_decreasing_in_p(self, tree7):
+        with np.errstate(over="ignore"):
+            phis = [psi_p(tree7, Design.uniform(7), p).phi for p in (-1000.0, -300.0, -2.0, -1e-12, 0.0)]
+        assert all(math.isfinite(phi) and phi > 0.0 for phi in phis)
+        assert phis == sorted(phis)
+
+
 class TestLaplacianRoute:
     def test_tree7_trace_at_row_norm_rule(self, tree7, tree7_graph):
         w = Design(np.sqrt(np.array(tree7_graph.degrees)) / S7)
