@@ -2,8 +2,8 @@
 
 Every invocation writes exactly one JSON document to stdout; diagnostics go
 to stderr. Exit codes: 0 success, 2 parse or usage error, 3 infeasible
-design, 4 optimizer did not converge, 5 invalid permutation, 6 symmetry
-search too large, 7 oracle too large.
+design, 4 optimizer did not converge or psi exceeds the float range,
+5 invalid permutation, 6 symmetry search too large, 7 oracle too large.
 
 Input formats
 -------------
@@ -27,6 +27,7 @@ import numpy as np
 
 from ._config import RANK_TOL
 from .contrasts import (
+    ComparisonGraph,
     ContrastSystem,
     classify,
     detect_pairwise,
@@ -95,13 +96,15 @@ def _format_p(p: float) -> str:
     return "neg-inf" if p == -math.inf else repr(float(p))
 
 
-def _load_system(path: str) -> ContrastSystem:
+def _load_system(path: str) -> tuple[ContrastSystem, ComparisonGraph | None]:
+    """The file's contrast system, and its comparison graph if it is pairwise."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    stripped = text.lstrip()
-    if stripped.replace(" ", "").startswith("v="):
-        return graph_system(parse_edge_list(text))
-    return parse_contrast_matrix(text)
+    if text.lstrip().replace(" ", "").startswith("v="):
+        graph = parse_edge_list(text)
+        return graph_system(graph), graph
+    system = parse_contrast_matrix(text)
+    return system, detect_pairwise(system)
 
 
 def _load_design(path: str, v: int) -> Design:
@@ -118,6 +121,8 @@ def _load_design(path: str, v: int) -> Design:
 
 
 def _criterion_doc(value: CriterionValue) -> dict:
+    if not math.isfinite(value.psi):  # JSON has no infinity; phi stays finite
+        raise _ExitWith(4, f"psi at p={_format_p(value.p)} exceeds the float range (phi = {value.phi!r})")
     return {"p": _format_p(value.p), "psi": value.psi, "phi": value.phi, "rank": value.rank}
 
 
@@ -151,11 +156,11 @@ def _report(command: str, inputs: dict, **parts) -> dict:
 
 
 def _cmd_eval(args) -> tuple[dict, int]:
-    system = _load_system(args.q)
+    system, graph = _load_system(args.q)
     design = _load_design(args.w, system.v)
     evaluation = _evaluate(system.gram, design.w, rank_of(system, args.rank_tol), args.p, args.rank_tol)
     extra = {}
-    if detect_pairwise(system) is not None:
+    if graph is not None:
         extra["laplacian_spectrum"] = [float(x) for x in evaluation.spectrum.values]
     doc = _report(
         "eval",
@@ -178,12 +183,11 @@ def _parse_perm_arg(text: str, v: int) -> Permutation:
     return perm
 
 
-def _closed_form_for(system: ContrastSystem, p: float):
-    """The closed-form optimum that applies at p, or None."""
+def _closed_form_for(system: ContrastSystem, graph: ComparisonGraph | None, p: float):
+    """The closed-form optimum that applies at p, or None; ``graph`` is the system's, if pairwise."""
     if p == -1.0:
         return a_optimal(system)
     if p == -math.inf:
-        graph = detect_pairwise(system)
         if graph is not None and classify(graph).bipartition is not None:
             return e_optimal_bipartite(graph)
     elif p == 0.0 and rank_of(system) == system.v - 1:
@@ -192,7 +196,7 @@ def _closed_form_for(system: ContrastSystem, p: float):
 
 
 def _cmd_optimize(args) -> tuple[dict, int]:
-    system = _load_system(args.q)
+    system, graph = _load_system(args.q)
     exit_code = 0
     orbits = None
     if args.perm is not None:
@@ -202,7 +206,7 @@ def _cmd_optimize(args) -> tuple[dict, int]:
         except NotInvariant as exc:
             raise _ExitWith(5, f"permutation rejected: {exc}") from None
 
-    closed = _closed_form_for(system, args.p) if args.method in ("closed", "auto") else None
+    closed = _closed_form_for(system, graph, args.p) if args.method in ("closed", "auto") else None
     if closed is None and args.method == "closed":
         raise _ExitWith(2, f"no closed form applies for p={_format_p(args.p)} on this system")
 
@@ -240,7 +244,7 @@ def _cmd_optimize(args) -> tuple[dict, int]:
 
 
 def _cmd_symmetry(args) -> tuple[dict, int]:
-    system = _load_system(args.q)
+    system, _ = _load_system(args.q)
     perm_doc = None
     invariant = None
     orbit_of = None
@@ -287,7 +291,7 @@ def _cmd_symmetry(args) -> tuple[dict, int]:
 
 
 def _cmd_oracle(args) -> tuple[dict, int]:
-    system = _load_system(args.q)
+    system, graph = _load_system(args.q)
     try:
         if args.mode == "kappa":
             design = _load_design(args.w, system.v) if args.w else Design.uniform(system.v)
@@ -315,7 +319,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
             raise _ExitWith(2, "grid mode requires --p")
         design = grid_oracle(system, args.p, args.grid_step)
         value = psi_p(system, design, args.p)
-        reference = _closed_form_for(system, args.p)
+        reference = _closed_form_for(system, graph, args.p)
         method = "numeric" if reference is None else reference.method
         reference = reference or optimize_phi_p(system, args.p)
         oracle = {
@@ -340,8 +344,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
 
 
 def _cmd_export_dot(args) -> tuple[dict, int]:
-    system = _load_system(args.q)
-    graph = detect_pairwise(system)
+    system, graph = _load_system(args.q)
     if graph is None:
         raise _ExitWith(2, "DOT export requires a pairwise-comparison system")
     design = _load_design(args.w, system.v) if args.w else None

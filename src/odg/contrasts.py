@@ -45,7 +45,8 @@ class ContrastSystem:
         if not np.all(np.isfinite(q)):
             raise MalformedInput("coefficient matrix contains non-finite entries")
         sums = q.sum(axis=0)
-        bad = np.flatnonzero(np.abs(sums) > COLUMN_SUM_TOL)
+        # at the column's scale, taken before summing so that entries near 1e308 cannot overflow it
+        bad = np.flatnonzero(np.abs(sums) > np.abs(COLUMN_SUM_TOL * q).sum(axis=0))
         if bad.size:
             raise NotAContrast(f"column {bad[0] + 1} sums to {sums[bad[0]]!r}, not zero")
         zero = np.flatnonzero(~q.any(axis=1))

@@ -12,10 +12,10 @@ positive spectrum (see ``spectral``):
 p = 0, -1, -inf give the classical D-, A- and E-criteria. Smaller psi is
 better; phi is the equivalent maximization form with phi = psi^(-1/r) at
 p = 0, phi = (psi/r)^(1/p) for finite p < 0, and phi = 1/psi at p = -inf.
-At finite p < 0, phi is computed in the log domain from the ratios
-lambda_j / lambda_1 (``_log_power_mean``), never from psi: it stays finite
-where psi overflows (psi = inf at p = -300 on a seven-treatment tree) and
-tends to the p = 0 value as p -> 0-.
+At finite p, 1/phi is the eigenvalues' power mean of order -p, which the
+descent minimizes; ``_reduce`` reads it from log(lambda_j / lambda_1), not
+from psi, so it stays finite where psi overflows (p = -300 on a
+seven-treatment tree) and tends to the p = 0 value as p -> 0-.
 
 Each design, iterate or report, is one ``_evaluate``: a single
 eigendecomposition of K(w), made by ``eigh_sym``, into an ``_Evaluation``
@@ -74,13 +74,18 @@ def validate_p(p: float) -> float:
 
 
 def _reduce(top: np.ndarray, p: float, temperature: float | None = None):
-    """The criterion's value at the descending eigenvalues ``top``, and the
-    coefficients c of its gradient.
+    """The criterion's value at the descending eigenvalues ``top``, in their
+    units, and the coefficients c of its gradient: as d lambda_j / d w_i =
+    -lambda_j u_ij^2 / w_i for the unit eigenvectors u_j of K(w),
+    d value / d w_i = -sum_j c_j u_ij^2 / w_i.
 
-    The value is log psi at p = 0, psi otherwise, and the log-sum-exp
-    smoothing of the largest eigenvalue at a temperature. As
-    d lambda_j / d w_i = -lambda_j u_ij^2 / w_i for the unit eigenvectors
-    u_j of K(w), d value / d w_i = -sum_j c_j u_ij^2 / w_i.
+    The value is the largest eigenvalue at p = -inf, its log-sum-exp
+    smoothing at a temperature, and at finite p = -q the power mean
+    1/phi_p = lambda_1 e^m, m = (1/q) log mean_j t_j, with l_j =
+    log(lambda_j / lambda_1) and t_j = e^(q l_j) in (0, 1], so no power
+    overflows; c_j = value t_j / sum t. Where q max_j |l_j| < 1e-5 the
+    mean's log loses its digits, and the series m = mean l + (q/2) var l
+    takes its place: p = 0's mean l at q = 0, nan where l is not finite.
     """
     if temperature is not None:
         weights = np.exp((top - top[0]) / temperature)
@@ -88,11 +93,15 @@ def _reduce(top: np.ndarray, p: float, temperature: float | None = None):
         return top[0] + temperature * math.log(total), weights / total * top
     if p == -math.inf:
         return float(top[0]), top[:1]
-    if p == 0.0:
-        return float(np.sum(np.log(top))), np.ones(top.size)
     q = -p
-    powers = top**q
-    return float(np.sum(powers)), q * powers
+    ell = np.log(top / top[0])
+    powers = np.exp(q * ell)
+    if q * -ell[-1] >= 1e-5:
+        mean_log = math.log(float(np.mean(powers))) / q
+    else:  # also where l is not finite: nan, not a division by q = 0
+        mean_log = float(np.mean(ell) + 0.5 * q * np.var(ell))
+    value = float(top[0]) * math.exp(mean_log)
+    return value, value / powers.sum() * powers
 
 
 def criterion_from_spectrum(spectrum: Spectrum, rank: int, p: float) -> CriterionValue:
@@ -106,24 +115,12 @@ def criterion_from_spectrum(spectrum: Spectrum, rank: int, p: float) -> Criterio
             f"eigenvalue {top.min()!r} among the {rank} largest is not above {spectrum.tol!r}"
         )
     value, _ = _reduce(top, p)
-    if p == -math.inf:
-        return CriterionValue(p=p, psi=value, phi=1.0 / value, rank=rank)
-    if p == 0.0:  # value is log psi
-        return CriterionValue(p=p, psi=math.exp(value), phi=math.exp(-value / rank), rank=rank)
-    return CriterionValue(p=p, psi=value, phi=math.exp(-_log_power_mean(top, -p)), rank=rank)
-
-
-def _log_power_mean(top: np.ndarray, q: float) -> float:
-    """-log phi_p at q = -p > 0: log lambda_1 + (1/q) log mean_j t_j with
-    l_j = log(lambda_j / lambda_1) and t_j = exp(q l_j) in (0, 1], so no
-    power overflows. Where q max_j |l_j| < 1e-5 the mean rounds toward 1
-    and its log loses its digits; the series mean l + (q/2) var l takes its
-    place, which tends to p = 0's mean l as p -> 0-.
-    """
-    ell = np.log(top / top[0])
-    if q * -ell[-1] < 1e-5:
-        return math.log(top[0]) + float(np.mean(ell) + 0.5 * q * np.var(ell))
-    return math.log(top[0]) + math.log(float(np.mean(np.exp(q * ell)))) / q
+    if p == 0.0:
+        psi = math.exp(float(np.sum(np.log(top))))
+    else:
+        with np.errstate(over="ignore"):  # psi overflows to inf at large -p; phi does not
+            psi = value if p == -math.inf else float(np.sum(top**-p))
+    return CriterionValue(p=p, psi=psi, phi=1.0 / value, rank=rank)
 
 
 @dataclass(eq=False)

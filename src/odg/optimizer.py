@@ -101,17 +101,17 @@ def _descend(current, tol, max_iter, averager, step=None):
     simplex has diameter sqrt(2), projects once to get the direction d, and
     backtracks by halving lambda along w + lambda d until the Armijo test
     holds. The first iteration takes ``step``, the last stage's step when
-    annealing; with none given, at most a unit move. Returns (last accepted
-    evaluation, iterations, converged, last Barzilai–Borwein step). It
-    converges when the relative decrease of an accepted step falls below
+    annealing; with none given, the unit move 1 / |grad|. Returns (last
+    accepted evaluation, iterations, converged, last Barzilai–Borwein step).
+    It converges when the relative decrease of an accepted step falls below
     ``tol``, or when the decrease the line search predicts, -lambda grad'd,
     falls below RESOLUTION times the criterion value: no decrease is left
-    to resolve. Raises ``NotConverged`` when the criterion value or its
-    gradient at the current point is not finite (it overflows at large -p).
+    to resolve. The value is in the eigenvalues' units, so nothing here
+    overflows; ``NotConverged`` means that K(w) itself is not finite.
     """
     grad = averager(current.gradient())
-    if step is None:  # no curvature seen yet: at most a unit move
-        step = 1.0 / max(math.hypot(*grad), 1.0)
+    if step is None:  # no curvature seen yet: a unit move
+        step = 1.0 / math.hypot(*grad)
     iterations = 0
     converged = False
     while iterations < max_iter:
@@ -127,7 +127,7 @@ def _descend(current, tol, max_iter, averager, step=None):
         resolution = RESOLUTION * abs(value)
         trial = None
         lam = 1.0
-        for _ in range(60):  # binds only where the resolution is 0: log psi at psi = 1
+        for _ in range(60):  # a guard: the value is positive at every p, so the resolution is never 0
             if -lam * slope <= resolution:
                 break
             candidate = _evaluate(
@@ -172,8 +172,8 @@ def optimize_phi_p(
     """Minimize the criterion over the floored simplex.
 
     Finite p (including 0) runs one spectral projected gradient descent
-    (``_descend``); p = -inf runs one per temperature, annealing the
-    smoothing from 0.1 * lambda_max down by factors of 5 to a 1e-9 relative
+    (``_descend``) on 1/phi_p; p = -inf runs one per temperature, annealing
+    the smoothing from 0.1 * lambda_max down by factors of 5 to a 1e-9 relative
     floor, then polishes. Each stage after the first starts from the last
     stage's Barzilai-Borwein step times the temperature ratio (1/5, or more
     where the floor stops the cooling). Each descent stops when the
@@ -217,8 +217,7 @@ def optimize_phi_p(
         converged = converged and temperature <= temperature_floor
         final = replace(final, temperature=None)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # large -p overflows; _descend reports it
-            final, total_iterations, converged, _ = _descend(final, opts.tol, opts.max_iter, averager)
+        final, total_iterations, converged, _ = _descend(final, opts.tol, opts.max_iter, averager)
 
     return OptimizationResult(
         design=Design(final.w),

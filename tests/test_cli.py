@@ -98,6 +98,14 @@ class TestEval:
         assert code == 0
         assert abs(doc["criterion"]["psi"] - 13.8297) < 5e-4
 
+    def test_overflowing_criterion_exits_4(self, tmp_path, tree7_csv, capsys):
+        # psi at p = -300 exceeds the float range, which JSON cannot write
+        w = write_weights(tmp_path, "w.csv", np.full(7, 1.0 / 7.0))
+        code, doc, err = run_cli(capsys, "eval", "--q", tree7_csv, "--w", w, "--p", "-300")
+        assert code == 4 and doc is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: psi at p=-300.0") and "phi = 0.0310" in lines[0]
+
     @pytest.mark.parametrize("tol", ["0", "2", "nan"])
     def test_rank_tol_outside_unit_interval_exits_2(self, tmp_path, path3_edges, tol, capsys):
         w = write_weights(tmp_path, "w.txt", [0.3, 0.4, 0.3])
@@ -412,6 +420,28 @@ class TestExportDot:
         q.write_text("\n".join(repr(float(row[0])) for row in rows))
         code, _, _ = run_cli(capsys, "export-dot", "--q", str(q), "-o", str(tmp_path / "g.dot"))
         assert code == 2
+
+
+@pytest.mark.parametrize("source", ["tree7", "paw"])
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "--w", "w", "--p", "-1"), ("optimize", "--p", "neg-inf"), ("export-dot", "-o", "dot")],
+    ids=["eval", "optimize-e", "export-dot"],
+)
+def test_comparison_graph_validated_once(argv, source, tmp_path, tree7_csv, paw_edges, capsys, monkeypatch):
+    # an edge list is the graph, and a CSV system is searched for one once:
+    # either way the one graph serves the whole call
+    from odg import ComparisonGraph
+
+    validations = []
+    original = ComparisonGraph.__post_init__
+    monkeypatch.setattr(ComparisonGraph, "__post_init__", lambda self: validations.append(original(self)))
+    q = {"tree7": tree7_csv, "paw": paw_edges}[source]
+    v = {"tree7": 7, "paw": 4}[source]
+    files = {"w": write_weights(tmp_path, "w.csv", np.full(v, 1.0 / v)), "dot": str(tmp_path / "g.dot")}
+    code, doc, _ = run_cli(capsys, argv[0], "--q", q, *(files.get(arg, arg) for arg in argv[1:]))
+    assert code == 0 and doc is not None
+    assert len(validations) == 1
 
 
 class TestEigensolveBudget:

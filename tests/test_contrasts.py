@@ -108,6 +108,14 @@ class TestParsing:
         with pytest.raises(NotAContrast):
             parse_contrast_matrix("1\n1\n-2.5\n")
 
+    def test_column_sum_checked_at_the_column_scale(self, rng):
+        # these exact decimals sum to -1.8e-12 in floats: zero at their scale
+        assert parse_contrast_matrix("8540.96\n5843.28\n-14384.24\n").s == 1
+        q = rng.standard_normal((6, 40))
+        ContrastSystem(1e4 * (q - q.mean(axis=0)))
+        with pytest.raises(NotAContrast, match="column 1 sums to"):
+            parse_contrast_matrix(f"1\n1\n{-2.0 * (1.0 + 1e-9)!r}\n")
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(MalformedInput):
             parse_contrast_matrix("1,0\n-1\n")

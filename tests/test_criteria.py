@@ -8,8 +8,10 @@ from odg import (
     ComparisonGraph,
     Design,
     Spectrum,
+    a_optimal,
     covariance_matrix,
     criterion_from_spectrum,
+    d_optimal_uniform,
     detect_pairwise,
     efficiency,
     eigenvalues_sym,
@@ -188,7 +190,9 @@ def test_rank_passed_explicitly_controls_reduction():
 
 
 @pytest.mark.parametrize(
-    "p, temperature", [(0.0, None), (-0.5, None), (-2.0, None), (NEG_INF, 0.1)], ids=["0", "-0.5", "-2", "smoothed-inf"]
+    "p, temperature",
+    [(0.0, None), (-1e-8, None), (-0.5, None), (-2.0, None), (-300.0, None), (NEG_INF, 0.1)],
+    ids=["0", "-1e-8", "-0.5", "-2", "-300", "smoothed-inf"],
 )
 def test_reduction_gradient_matches_central_differences(tree7, rng, p, temperature):
     # the descent's gradient -sum_j c_j u_ij^2 / w_i against its own value,
@@ -208,6 +212,27 @@ def test_reduction_gradient_matches_central_differences(tree7, rng, p, temperatu
             fd[i] = (evaluate(w + h).value - evaluate(w - h).value) / (2.0 * h[i])
         grad = evaluate(w).gradient()
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8 * np.abs(grad).max())
+
+
+@pytest.mark.parametrize("p", [0.0, -1e-8, -0.5, -1.0, -2.0, -300.0])
+def test_descent_value_satisfies_euler_identity(tree7, rng, p):
+    # the power mean 1/phi_p is homogeneous of degree -1 in w, so
+    # w . grad = -value at every finite p, series branch included
+    for system in (tree7, instances.random_contrast_system(rng, 8, 3)):
+        w = instances.random_design(rng, system.v).w
+        evaluation = _evaluate(system.gram, w, rank_of(system), p)
+        assert abs(-(w @ evaluation.gradient()) / evaluation.value - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p, closed_form", [(-1.0, a_optimal), (0.0, d_optimal_uniform)], ids=["A", "D"])
+def test_efficiency_ratios_peak_at_one_at_closed_forms(tree7, paw_system, p, closed_form):
+    # d = -grad / value are the ratios d_i phi / phi; sum_i w_i d_i = 1, and
+    # at an optimum every d_i with w_i > 0 equals 1
+    for system in (tree7, paw_system):
+        design = closed_form(system).design
+        evaluation = _evaluate(system.gram, design.w, rank_of(system), p)
+        d = -evaluation.gradient() / evaluation.value
+        assert abs(d.max() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("rank_tol", [1e-9, 1e-6, 0.5])

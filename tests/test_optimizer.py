@@ -9,6 +9,7 @@ import instances
 import odg.criteria
 import odg.optimizer
 from odg import (
+    ContrastSystem,
     Design,
     OptimizeOptions,
     a_optimal,
@@ -27,7 +28,7 @@ from odg import (
     rank_of,
 )
 from odg.criteria import _evaluate
-from odg.errors import DegenerateEigenspace, InfeasibleStart, NotConverged, TooLarge
+from odg.errors import DegenerateEigenspace, InfeasibleStart, TooLarge
 
 NEG_INF = float("-inf")
 
@@ -136,10 +137,28 @@ class TestOptimize:
         assert result.iterations > 1
         assert result.criterion.psi < start
 
-    def test_overflowing_criterion_raises_not_converged(self, tree7):
-        # at p = -300 the criterion of the start point exceeds the float range
-        with pytest.raises(NotConverged, match="p=-300"):
-            optimize_phi_p(tree7, -300.0)
+    @pytest.mark.parametrize("p", [-300.0, -1000.0])
+    def test_converges_where_psi_overflows(self, tree7, p):
+        # psi_p exceeds the float range here; the descent's value, the power
+        # mean 1/phi_p, stays within the eigenvalues' range
+        result = optimize_phi_p(tree7, p)
+        assert result.converged
+        phi = result.criterion.phi
+        assert phi > psi_p(tree7, a_optimal(tree7).design, p).phi
+        assert psi_p(tree7, result.design, NEG_INF).phi < phi < psi_p(tree7, result.design, -2.0).phi
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, -2.0])
+    @pytest.mark.parametrize("c", [1 / 64, 8.0, 1024.0])
+    def test_scale_equivariant_bit_for_bit(self, p, c):
+        # Q -> cQ with c a power of 2 scales K(w), the value and the gradient
+        # by c^2 exactly, and every step by 1/c^2: the same iterates follow
+        rng = np.random.default_rng(5)
+        for v, s in ((6, 9), (9, 4)):
+            system = instances.random_contrast_system(rng, v, s)
+            base = optimize_phi_p(system, p)
+            scaled = optimize_phi_p(ContrastSystem(c * system.q), p)
+            assert np.array_equal(scaled.design.w, base.design.w)
+            assert scaled.iterations == base.iterations
 
     def test_infeasible_start(self, paw_system):
         with pytest.raises(InfeasibleStart):
