@@ -14,14 +14,17 @@ and ||M||_F^2 are polynomials in 1/w with coefficients built once from F.
 At p = -inf it eigensolves only the designs whose largest eigenvalue could
 be the minimum: the others are ruled out by bounds on lambda_max read from
 the trace, the Frobenius norm and the diagonal of M (Wolkowicz & Styan
-1980). At other p it eigensolves every M.
+1980). At other p it eigensolves every M. The lattice itself is enumerated
+in numpy, ``_SCAN_CHUNK`` designs at a time, each unranked from its row in
+the lexicographic table of cut positions (``_lattice_chunks``), so the
+scan's memory is bounded by one chunk whatever the step.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -111,6 +114,42 @@ def _lattice_criterion(f, p):
     return spectral
 
 
+def _lattice_chunks(n, v):
+    """Yield every lattice design's counts in lexicographic order, ``_SCAN_CHUNK`` rows at a time.
+
+    A design is v-1 cuts 0 < x_1 < ... < x_{v-1} < n; its counts are the gaps
+    between 0, the cuts and n, so the lexicographic order of the cuts is that
+    of the counts. The k-subsets of {x+1, ..., n-1} form the tail of the
+    lexicographic table of k-subsets of {1, ..., n-1} that starts at row
+    below_k(x) = C(n-1, k) - C(n-1-x, k), the number of rows whose least
+    element is at most x. So the design at row g of the table of
+    (v-1)-subsets is read one cut at a time: the cut x is the least element
+    of row g, found by a binary search in below_k, and the remaining cuts are
+    row g - below_k(x-1) + below_{k-1}(x) of the table of (k-1)-subsets. The
+    last cut, with below_1(x) = x, is g + 1. No table is built: memory is a
+    few arrays of one chunk's size and the n-entry below_k, whatever n is.
+    """
+    below = [
+        np.array([math.comb(n - 1, k) - math.comb(n - 1 - x, k) for x in range(n)], np.int64)
+        for k in range(v - 1, 0, -1)
+    ]
+    # skip[x]: from a row whose least element is x to the row of its other cuts
+    skip = [np.concatenate(([0], rest[1:] - table[:-1])) for table, rest in zip(below, below[1:])]
+    total = math.comb(n - 1, v - 1)
+    for start in range(0, total, _SCAN_CHUNK):
+        g = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
+        counts = np.empty((g.size, v), np.int64)
+        prev = 0
+        for i in range(v - 2):
+            cut = np.searchsorted(below[i], g, side="right")
+            counts[:, i] = cut - prev
+            g += skip[i][cut]
+            prev = cut
+        counts[:, v - 2] = g + 1 - prev
+        counts[:, v - 1] = n - 1 - g
+        yield counts
+
+
 def grid_scan(b, r, n, v, p):
     """Scan every lattice design w = counts/n (counts positive, summing to n).
 
@@ -130,8 +169,9 @@ def grid_scan(b, r, n, v, p):
     or the batch's least upper bound; the others cannot be the minimum. The
     near-uniform value only prunes: that design is scanned like any other.
 
-    Designs are enumerated as v-1 cut positions in 1..n-1, in lexicographic
-    order, which is also the lexicographic order of the counts. Returns the
+    Designs come from ``_lattice_chunks`` in the lexicographic order of
+    their counts, as numpy arrays of at most ``_SCAN_CHUNK`` rows, so memory
+    is bounded by the chunk however fine the lattice. Returns the
     value and counts of the lexicographically earliest point whose value
     lies within a relative 1e-12 of the minimum, so points tied in exact
     arithmetic resolve the same way however their values are rounded.
@@ -146,15 +186,7 @@ def grid_scan(b, r, n, v, p):
         cap = float(criterion(n / uniform[None, :], cap)[0])
     best = np.inf
     best_counts = np.zeros(v, np.int64)
-    cuts = combinations(range(1, n), v - 1)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(cuts, _SCAN_CHUNK)), dtype=np.int64)
-        if flat.size == 0:
-            break
-        edges = np.zeros((flat.size // (v - 1), v + 1), np.int64)
-        edges[:, 1:v] = flat.reshape(-1, v - 1)
-        edges[:, v] = n
-        counts = np.diff(edges, axis=1)
+    for counts in _lattice_chunks(n, v):
         psi = criterion(n / counts, min(cap, best))
         low = psi.min()
         # a later chunk displaces the kept point only when clearly lower

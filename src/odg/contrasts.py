@@ -48,7 +48,7 @@ class ContrastSystem:
         # at the column's scale, taken before summing so that entries near 1e308 cannot overflow it
         bad = np.flatnonzero(np.abs(sums) > np.abs(COLUMN_SUM_TOL * q).sum(axis=0))
         if bad.size:
-            raise NotAContrast(f"column {bad[0] + 1} sums to {sums[bad[0]]!r}, not zero")
+            raise NotAContrast(f"column {bad[0] + 1} sums to {float(sums[bad[0]])!r}, not zero")
         zero = np.flatnonzero(~q.any(axis=1))
         if zero.size:
             raise ZeroRow(f"treatment {zero[0] + 1} has an all-zero coefficient row")

@@ -112,7 +112,7 @@ def criterion_from_spectrum(spectrum: Spectrum, rank: int, p: float) -> Criterio
     top = spectrum.top(rank)
     if np.any(top <= spectrum.tol):
         raise NonPositiveEigenvalue(
-            f"eigenvalue {top.min()!r} among the {rank} largest is not above {spectrum.tol!r}"
+            f"eigenvalue {float(top.min())!r} among the {rank} largest is not above {float(spectrum.tol)!r}"
         )
     value, _ = _reduce(top, p)
     if p == 0.0:

@@ -78,6 +78,14 @@ class TestEval:
         code, doc, err = run_cli(capsys, "eval", "--q", str(q), "--w", w, "--p", "-1")
         assert code == 2 and doc is None
 
+    def test_column_sum_error_prints_a_plain_float(self, tmp_path, capsys):
+        q = tmp_path / "q.csv"
+        q.write_text("1\n1\n-2.5\n")
+        w = write_weights(tmp_path, "w.csv", [0.25, 0.25, 0.5])
+        code, doc, err = run_cli(capsys, "eval", "--q", str(q), "--w", w, "--p", "-1")
+        assert code == 2 and doc is None
+        assert err.splitlines() == ["error: column 1 sums to -0.5, not zero"]
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         w = write_weights(tmp_path, "w.csv", [0.5, 0.5])
         code, _, _ = run_cli(capsys, "eval", "--q", str(tmp_path / "nope.csv"), "--w", w, "--p", "-1")

@@ -24,6 +24,7 @@ from odg import (
     validate_p,
 )
 from odg.criteria import _evaluate
+from odg.errors import NonPositiveEigenvalue
 from odg.symmetry import Permutation
 
 NEG_INF = float("-inf")
@@ -187,6 +188,13 @@ def test_rank_passed_explicitly_controls_reduction():
     assert math.isclose(psi_p(system, w, 0.0, rank=2).psi, 9.0, rel_tol=1e-12)
     with pytest.raises(Exception):
         psi_p(system, w, 0.0, rank=3)  # third eigenvalue is zero
+
+
+def test_non_positive_eigenvalue_message_prints_plain_floats():
+    # under numpy >= 2 the repr of a numpy scalar reads np.float64(0.0)
+    with pytest.raises(NonPositiveEigenvalue) as excinfo:
+        criterion_from_spectrum(Spectrum(np.array([2.0, 0.0]), tol=np.float64(1e-9)), 2, -1.0)
+    assert str(excinfo.value) == "eigenvalue 0.0 among the 2 largest is not above 1e-09"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,47 @@ def test_grid_scan_matches_direct_evaluation(name, system, p):
     # ties resolve to the lexicographically earliest point
     earlier = [psi for c, psi in values.items() if c < tuple(counts.tolist())]
     assert all(psi > lowest * (1.0 + 1e-12) for psi in earlier)
+
+
+@pytest.mark.parametrize("chunk", [5, 37])
+@pytest.mark.parametrize("p", [0.0, -1.0, -2.0, -0.5, NEG_INF])
+@pytest.mark.parametrize("name,system", _coarse_lattice_systems())
+def test_grid_scan_chunk_boundaries_change_no_result(monkeypatch, name, system, p, chunk):
+    # the tie rule and the p = -inf pruning threshold carry across chunk edges
+    n, v = 12, system.v
+    rank = rank_of(system)
+    value, counts = kernels.grid_scan(system.gram, rank, n, v, p)
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    chunked_value, chunked_counts = kernels.grid_scan(system.gram, rank, n, v, p)
+    assert chunked_counts.tolist() == counts.tolist()
+    assert math.isclose(chunked_value, value, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("v,n", [(v, n) for v in (2, 3, 4) for n in (v, v + 1, 23, 100)])
+def test_lattice_chunks_enumerate_the_lattice_in_order(v, n):
+    chunks = list(kernels._lattice_chunks(n, v))
+    assert all(len(chunk) <= kernels._SCAN_CHUNK for chunk in chunks)
+    counts = np.concatenate(chunks)
+    assert counts.min() >= 1 and (counts.sum(axis=1) == n).all()
+    # the gaps between 0, v - 1 cut positions in 1..n-1 and n, in lexicographic order
+    expected = [
+        [b - a for a, b in zip((0, *cuts), (*cuts, n))] for cuts in itertools.combinations(range(1, n), v - 1)
+    ]
+    assert counts.tolist() == expected
+
+
+def test_lattice_chunks_memory_is_bounded_by_a_chunk():
+    # n = 1000, v = 4 has C(999, 3) = 166 M designs; the pairs table alone would be 498 501 rows
+    chunk_bytes = kernels._SCAN_CHUNK * (4 + 1) * 8
+    tracemalloc.start()
+    try:
+        chunks = kernels._lattice_chunks(1000, 4)
+        for _ in range(3):
+            assert next(chunks).shape == (kernels._SCAN_CHUNK, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * chunk_bytes
 
 
 @pytest.mark.parametrize(
