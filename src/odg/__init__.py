@@ -26,7 +26,6 @@ from .spectral import (
     covariance_matrix,
     eigensystem_sym,
     eigenvalues_sym,
-    information_matrix,
     pseudo_information_matrix,
     vertex_weighted_laplacian,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "graph_system",
     "grid_oracle",
     "incidence_matrix",
-    "information_matrix",
     "optimize_phi_p",
     "orbit_reduction",
     "parse_contrast_matrix",

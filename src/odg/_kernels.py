@@ -28,6 +28,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import InfeasibleDesign
+
 # Lattice designs evaluated in one batch; bounds the scan's memory.
 _SCAN_CHUNK = 4096
 # Relative gap below which two lattice values count as tied.
@@ -42,8 +44,12 @@ def weighted_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
     """K(w): entries gram_ij / sqrt(w_i w_j).
 
     ``w`` may carry leading batch axes, giving one matrix per design. The
-    diagonal is exactly gram_ii / w_i.
+    diagonal is exactly gram_ii / w_i. This is the one check that a design
+    has one weight per treatment: any other length raises
+    ``InfeasibleDesign``.
     """
+    if w.shape[-1] != gram.shape[0]:
+        raise InfeasibleDesign(f"design has {w.shape[-1]} weights for a system on {gram.shape[0]} treatments")
     return gram / np.sqrt(w[..., :, None] * w[..., None, :])
 
 

@@ -29,7 +29,6 @@ from ._config import RANK_TOL
 from .contrasts import (
     ComparisonGraph,
     ContrastSystem,
-    classify,
     detect_pairwise,
     graph_system,
     parse_contrast_matrix,
@@ -41,14 +40,16 @@ from .criteria import CriterionValue, _evaluate, psi_p, validate_p
 from .forests import verify_d_identity
 from .optimizer import OptimizeOptions, grid_oracle, optimize_phi_p
 from .spectral import Design, Spectrum
-from .symmetry import Permutation, check_invariance, find_cyclic_invariance, orbit_reduction
+from .symmetry import CYCLIC_SEARCH_LIMIT, Permutation, check_invariance, find_cyclic_invariance, orbit_reduction
 from .errors import (
     InfeasibleDesign,
     MalformedInput,
     NotAContrast,
+    NotBipartite,
     NotConverged,
     NotInvariant,
     PreconditionViolated,
+    RankTooLow,
     TooLarge,
     ZeroRow,
 )
@@ -96,10 +97,18 @@ def _format_p(p: float) -> str:
     return "neg-inf" if p == -math.inf else repr(float(p))
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a file that is not UTF-8 is malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_system(path: str) -> tuple[ContrastSystem, ComparisonGraph | None]:
     """The file's contrast system, and its comparison graph if it is pairwise."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
     if text.lstrip().replace(" ", "").startswith("v="):
         graph = parse_edge_list(text)
         return graph_system(graph), graph
@@ -108,9 +117,7 @@ def _load_system(path: str) -> tuple[ContrastSystem, ComparisonGraph | None]:
 
 
 def _load_design(path: str, v: int) -> Design:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    tokens = [tok for chunk in text.split(",") for tok in chunk.split()]
+    tokens = [tok for chunk in _read_text(path).split(",") for tok in chunk.split()]
     try:
         weights = [float(tok) for tok in tokens]
     except ValueError:
@@ -184,14 +191,19 @@ def _parse_perm_arg(text: str, v: int) -> Permutation:
 
 
 def _closed_form_for(system: ContrastSystem, graph: ComparisonGraph | None, p: float):
-    """The closed-form optimum that applies at p, or None; ``graph`` is the system's, if pairwise."""
-    if p == -1.0:
-        return a_optimal(system)
-    if p == -math.inf:
-        if graph is not None and classify(graph).bipartition is not None:
+    """The closed-form optimum that applies at p, or None; ``graph`` is the system's, if pairwise.
+
+    Each closed form checks its own preconditions: its refusal means that none applies.
+    """
+    try:
+        if p == -1.0:
+            return a_optimal(system)
+        if p == -math.inf and graph is not None:
             return e_optimal_bipartite(graph)
-    elif p == 0.0 and rank_of(system) == system.v - 1:
-        return d_optimal_uniform(system)
+        if p == 0.0:
+            return d_optimal_uniform(system)
+    except (NotBipartite, RankTooLow):
+        pass
     return None
 
 
@@ -388,15 +400,24 @@ def _build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--q", required=True)
     opt.add_argument("--p", required=True, type=_parse_p)
     opt.add_argument("--method", choices=("closed", "numeric", "auto"), default="auto")
-    opt.add_argument("--tol", type=_parse_tol, default=1e-8, help="relative decrease to stop at, finite and > 0")
-    opt.add_argument("--max-iter", type=_parse_max_iter, default=10000, help="iteration budget, an integer >= 1")
+    opt.add_argument(
+        "--tol", type=_parse_tol, default=OptimizeOptions.tol, help="relative decrease to stop at, finite and > 0"
+    )
+    opt.add_argument(
+        "--max-iter", type=_parse_max_iter, default=OptimizeOptions.max_iter, help="iteration budget, an integer >= 1"
+    )
     opt.add_argument("--seed", type=int, default=0, help="kept for interface stability; has no effect")
     opt.add_argument("--perm", default=None, help="one-line 1-indexed permutation, e.g. '2 1 3'")
     opt.set_defaults(handler=_cmd_optimize)
 
     sym = sub.add_parser("symmetry", help="invariance and orbit analysis")
     sym.add_argument("--q", required=True)
-    sym.add_argument("--max-v", type=_parse_max_v, default=9, help="largest v to search exhaustively, an integer >= 1")
+    sym.add_argument(
+        "--max-v",
+        type=_parse_max_v,
+        default=CYCLIC_SEARCH_LIMIT,
+        help="largest v to search exhaustively, an integer >= 1",
+    )
     sym.add_argument("--perm", default=None)
     sym.set_defaults(handler=_cmd_symmetry)
 

@@ -125,12 +125,10 @@ class ComparisonGraph:
 
 @dataclass(frozen=True)
 class GraphClassification:
-    is_pairwise: bool
     is_connected: bool
     component_count: int
     is_tree: bool
     bipartition: Optional[tuple[int, ...]]
-    sink_source_signs: Optional[tuple[int, ...]]
 
 
 def parse_contrast_matrix(text: str) -> ContrastSystem:
@@ -217,9 +215,9 @@ def classify(graph: ComparisonGraph) -> GraphClassification:
 
     The bipartition is a breadth-first 2-coloring started from the
     lowest-index vertex of each component (seed color 0); it is absent when
-    the graph has an odd cycle. For bipartite graphs, each edge gets sign +1
-    when directed from color 0 to color 1 and -1 otherwise, so that flipping
-    the -1 edges leaves every vertex a pure sink or pure source.
+    the graph has an odd cycle. The signs that turn every vertex of a
+    bipartite graph into a sink or a source are those of its E-optimal
+    eigenvector, ``closed_form.e_optimal_bipartite(graph).eigvec``.
     """
     adj = _adjacency(graph)
     color = [-1] * graph.v
@@ -241,17 +239,11 @@ def classify(graph: ComparisonGraph) -> GraphClassification:
                     bipartite = False
     connected = components == 1
     is_tree = connected and graph.s == graph.v - 1
-    bipartition = tuple(color) if bipartite else None
-    signs = None
-    if bipartite:
-        signs = tuple(1 if color[a] == 0 else -1 for a, b in graph.edges)
     return GraphClassification(
-        is_pairwise=True,
         is_connected=connected,
         component_count=components,
         is_tree=is_tree,
-        bipartition=bipartition,
-        sink_source_signs=signs,
+        bipartition=tuple(color) if bipartite else None,
     )
 
 

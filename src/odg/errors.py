@@ -17,10 +17,6 @@ class ZeroRow(OdgError):
     """A treatment row is identically zero (treatment unused by the system)."""
 
 
-class RankDeficient(OdgError):
-    """Operation requires a full-rank system but rank(Q) < s."""
-
-
 class NotSymmetric(OdgError):
     """Matrix is not symmetric within tolerance."""
 
@@ -34,7 +30,7 @@ class PreconditionViolated(OdgError):
 
 
 class InfeasibleDesign(OdgError):
-    """Weights are not strictly positive or do not sum to one."""
+    """Weights are not strictly positive, do not sum to one, or are not one per treatment."""
 
 
 class NotBipartite(OdgError):
@@ -55,10 +51,6 @@ class TooLarge(OdgError):
 
 class NotConverged(OdgError):
     """Iterative solver exhausted its budget without meeting the tolerance."""
-
-
-class InfeasibleStart(OdgError):
-    """Optimizer starting point is not a strictly positive weight vector."""
 
 
 class DegenerateEigenspace(UserWarning):

@@ -41,7 +41,7 @@ from ._kernels import weighted_gram
 from .contrasts import ComparisonGraph, ContrastSystem, graph_system
 from .criteria import psi_p
 from .spectral import Design
-from .errors import InfeasibleDesign, PreconditionViolated, TooLarge
+from .errors import PreconditionViolated, TooLarge
 
 ENUMERATION_LIMIT = 12
 # Past 20 treatments the trace recurrence's coefficient drifts from the
@@ -344,11 +344,9 @@ def verify_d_identity(
     """
     if isinstance(system, ComparisonGraph):
         system = graph_system(system)
-    if design.v != system.v:
-        raise InfeasibleDesign(f"design has {design.v} weights for a system on {system.v} treatments")
+    lap = weighted_gram(system.gram, design.w)  # first: it refuses a design of the wrong length
     rank, forest_total = _minor_total(system, design)
     psi_det = psi_p(system, design, 0.0, rank=rank).psi
-    lap = weighted_gram(system.gram, design.w)
     coeffs = char_poly_coeffs(lap)
     char_coefficient = float(coeffs[rank])
     values = (psi_det, forest_total, char_coefficient)

@@ -19,7 +19,9 @@ eigendecomposition of K(w). The returned design is the last accepted
 iterate, read without another.
 
 Everything is deterministic: fixed initialization, fixed sweep orders, no
-randomized restarts.
+randomized restarts. The descent starts from the uniform design, or, for
+p < -1, from the trace-criterion optimum (closed form); there is no other
+starting point to choose.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .contrasts import ContrastSystem, rank_of
 from .criteria import CertificateReport, CriterionValue, _evaluate, _Evaluation, validate_p
 from .spectral import Design
 from .symmetry import OrbitReduction
-from .errors import InfeasibleStart, NotConverged, TooLarge
+from .errors import NotConverged, TooLarge
 
 GRID_MAX_V = 4
 GRID_STEP_RANGE = (1e-3, 0.1)
@@ -48,7 +50,6 @@ RESOLUTION = 4.0 * np.finfo(np.float64).eps  # smallest relative change of a cri
 class OptimizeOptions:
     tol: float = 1e-8          # stop when an accepted step's relative decrease falls below this
     max_iter: int = 10000      # global iteration budget
-    init: Optional[np.ndarray] = None
     orbits: Optional[OrbitReduction] = None
 
 
@@ -151,14 +152,7 @@ def _descend(current, tol, max_iter, averager, step=None):
     return current, iterations, converged, step
 
 
-def _initial_point(system: ContrastSystem, p: float, opts: OptimizeOptions) -> np.ndarray:
-    if opts.init is not None:
-        w0 = np.asarray(opts.init, dtype=np.float64).reshape(-1)
-        if w0.size != system.v:
-            raise InfeasibleStart(f"initial point has {w0.size} weights, system has v={system.v}")
-        if not np.all(np.isfinite(w0)) or np.any(w0 <= 0.0):
-            raise InfeasibleStart("initial weights must be strictly positive")
-        return w0 / w0.sum()
+def _initial_point(system: ContrastSystem, p: float) -> np.ndarray:
     if p < -1.0:  # warm start: the trace-criterion optimum is closed form
         return a_optimal_weights(system)
     return np.full(system.v, 1.0 / system.v)
@@ -186,7 +180,7 @@ def optimize_phi_p(
     p = validate_p(p)
     opts = opts or OptimizeOptions()
     rank = rank_of(system)
-    w = _initial_point(system, p, opts)
+    w = _initial_point(system, p)
     averager = np.asarray  # no orbits: the gradient as it is
     if opts.orbits is not None:
         if len(opts.orbits.orbit_of) != system.v:

@@ -2,16 +2,19 @@
 
 A design is a strictly positive weight vector on the treatments summing to
 one. The covariance matrix of a contrast system under the design is
-q^T diag(w)^{-1} q, and the information matrix is its inverse (Moore-Penrose
-pseudo-inverse in the rank-deficient case).
+q^T diag(w)^{-1} q, and the information matrix is its Moore-Penrose
+pseudo-inverse, the inverse at full rank (``pseudo_information_matrix`` at
+every rank).
 
 The covariance matrix is s-by-s, but its positive eigenvalues are those of
 the v-by-v matrix K(w) = diag(w)^{-1/2} q q^T diag(w)^{-1/2}, which is how
 every criterion, rank and certificate in the package reads them; each design
-is eigensolved once, as K(w). The information matrices come from the same
+is eigensolved once, as K(w). The information matrix comes from the same
 v-by-v eigendecomposition, so no s-by-s matrix is ever eigensolved. For a
 pairwise system K(w) is the vertex-weighted Laplacian of the comparison
-graph with vertex weights 1/w_i.
+graph with vertex weights 1/w_i. A design with other than v weights is
+refused with ``InfeasibleDesign`` by ``_kernels.weighted_gram``, the one
+place that scales by a design.
 
 K(w) is built inside the package and symmetric by construction, so it goes
 straight to ``_kernels.eigh_sym`` (see ``criteria._evaluate``);
@@ -28,12 +31,8 @@ import numpy as np
 
 from ._config import RANK_TOL, WEIGHT_SUM_TOL
 from ._kernels import eigh_sym, weighted_gram
-from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
-from .errors import (
-    InfeasibleDesign,
-    NotSymmetric,
-    RankDeficient,
-)
+from .contrasts import ComparisonGraph, ContrastSystem, graph_system
+from .errors import InfeasibleDesign, NotSymmetric
 
 _SYM_TOL = 1e-10
 
@@ -126,16 +125,8 @@ def eigenvalues_sym(m: np.ndarray) -> Spectrum:
     return spectrum
 
 
-def information_matrix(system: ContrastSystem, design: Design) -> np.ndarray:
-    """Inverse of the covariance matrix; defined for full-rank systems only."""
-    r = rank_of(system)
-    if r < system.s:
-        raise RankDeficient(f"system has rank {r} < s={system.s}; use pseudo_information_matrix")
-    return pseudo_information_matrix(system, design)
-
-
 def pseudo_information_matrix(system: ContrastSystem, design: Design) -> np.ndarray:
-    """Moore-Penrose analogue of the information matrix for any rank.
+    """The information matrix at any rank: the covariance matrix's pseudo-inverse.
 
     With H = diag(w)^{-1/2} q the covariance matrix is H^T H and
     K(w) = H H^T = U diag(lam) U^T, so its pseudo-inverse is
@@ -154,6 +145,4 @@ def vertex_weighted_laplacian(graph: ComparisonGraph, design: Design) -> np.ndar
     Diagonal entries are degree_i / w_i; adjacent pairs get
     -(w_i w_j)^{-1/2}; everything else is zero.
     """
-    if design.v != graph.v:
-        raise InfeasibleDesign(f"design has {design.v} weights for a graph on {graph.v} vertices")
     return weighted_gram(graph_system(graph).gram, design.w)

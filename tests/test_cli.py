@@ -158,9 +158,15 @@ class TestOptimize:
         assert doc["certificate"]["gap"] <= 1e-8
         assert doc["certificate"]["witness"] >= 1
 
-    def test_closed_method_unavailable_exits_2(self, paw_edges, capsys):
-        code, doc, _ = run_cli(capsys, "optimize", "--q", paw_edges, "--p", "-0.5", "--method", "closed")
-        assert code == 2 and doc is None
+    def test_closed_method_unavailable_exits_2(self, tmp_path, paw_edges, capsys):
+        # no closed form at p = -0.5; the paw is not bipartite (NotBipartite);
+        # two separate pairs on v = 4 have rank 2 < v - 1 (RankTooLow)
+        low_rank = tmp_path / "pairs.csv"
+        low_rank.write_text("1,0\n-1,0\n0,1\n0,-1\n")
+        for q, p in ((paw_edges, "-0.5"), (paw_edges, "neg-inf"), (str(low_rank), "0")):
+            code, doc, err = run_cli(capsys, "optimize", "--q", q, "--p", p, "--method", "closed")
+            assert code == 2 and doc is None
+            assert err.startswith("error: no closed form applies")
 
     def test_invalid_permutation_exits_5(self, tree7_csv, capsys):
         code, _, _ = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", "-2", "--perm", "1 1 2 3 4 5 6")
@@ -251,6 +257,20 @@ def test_huge_vertex_count_exits_2(tmp_path, capsys, command):
     code, doc, err = run_cli(capsys, command, "--q", str(q), *w, "--p", "-1")
     assert code == 2 and doc is None
     assert err == "error: treatment 3 has an all-zero coefficient row\n"
+
+
+@pytest.mark.parametrize("bad", ["q", "w"])
+@pytest.mark.parametrize("command", ["eval", "oracle"])
+def test_non_utf8_file_exits_2(tmp_path, path3_edges, capsys, bad, command):
+    # a file that is not UTF-8 is malformed input: one error line, no traceback
+    files = {"q": path3_edges, "w": write_weights(tmp_path, "w.txt", [0.3, 0.4, 0.3])}
+    files[bad] = str(tmp_path / "bad.txt")
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe1,2\n")
+    argv = ["--p", "-1"] if command == "eval" else ["--mode", "kappa"]
+    code, doc, err = run_cli(capsys, command, "--q", files["q"], "--w", files["w"], *argv)
+    assert code == 2 and doc is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "not UTF-8" in lines[0]
 
 
 class TestSymmetry:

@@ -10,6 +10,7 @@ from odg import (
     ContrastSystem,
     classify,
     detect_pairwise,
+    e_optimal_bipartite,
     graph_system,
     incidence_matrix,
     parse_contrast_matrix,
@@ -207,7 +208,7 @@ class TestClassify:
     def test_paw_not_bipartite(self, paw):
         info = classify(paw)
         assert info.is_connected and not info.is_tree
-        assert info.bipartition is None and info.sink_source_signs is None
+        assert info.bipartition is None
 
     def test_even_cycle(self):
         c4 = ComparisonGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -228,12 +229,12 @@ class TestClassify:
                 assert colors[a] != colors[b]
 
     def test_sign_flips_make_sinks_and_sources(self, rng):
+        # the signs of the E-optimal eigenvector, the one bipartite sign rule
         for _ in range(50):
             graph = instances.random_tree(rng, int(rng.integers(2, 9)))
-            info = classify(graph)
             flipped = [
-                (a, b) if sign == 1 else (b, a)
-                for (a, b), sign in zip(graph.edges, info.sink_source_signs)
+                (a, b) if sign > 0 else (b, a)
+                for (a, b), sign in zip(graph.edges, e_optimal_bipartite(graph).eigvec)
             ]
             outgoing = {a for a, _ in flipped}
             incoming = {b for _, b in flipped}

@@ -28,7 +28,7 @@ from odg import (
     rank_of,
 )
 from odg.criteria import _evaluate
-from odg.errors import DegenerateEigenspace, InfeasibleStart, TooLarge
+from odg.errors import DegenerateEigenspace, TooLarge
 
 NEG_INF = float("-inf")
 
@@ -159,18 +159,6 @@ class TestOptimize:
             scaled = optimize_phi_p(ContrastSystem(c * system.q), p)
             assert np.array_equal(scaled.design.w, base.design.w)
             assert scaled.iterations == base.iterations
-
-    def test_infeasible_start(self, paw_system):
-        with pytest.raises(InfeasibleStart):
-            optimize_phi_p(paw_system, -1.0, OptimizeOptions(init=np.array([0.5, 0.5, 0.0, 0.0])))
-        with pytest.raises(InfeasibleStart):
-            optimize_phi_p(paw_system, -1.0, OptimizeOptions(init=np.array([0.5, 0.5])))
-
-    def test_custom_init_is_used(self, paw_system):
-        target = a_optimal(paw_system).design
-        warm = optimize_phi_p(paw_system, -1.0, OptimizeOptions(init=target.w, tol=1e-12))
-        assert warm.converged and warm.iterations <= 3
-        assert np.abs(warm.design.w - target.w).max() < 1e-9
 
     def test_criterion_consistent_with_design(self, paw_system):
         result = optimize_phi_p(paw_system, -0.5)

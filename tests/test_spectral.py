@@ -13,15 +13,16 @@ from odg import (
     criterion_from_spectrum,
     detect_pairwise,
     e_certificate,
+    efficiency,
     eigensystem_sym,
     eigenvalues_sym,
     graph_system,
     incidence_matrix,
-    information_matrix,
     pseudo_information_matrix,
     psi_p,
     rank_of,
     rooted_forest_weight,
+    verify_d_identity,
     vertex_weighted_laplacian,
 )
 from odg._kernels import eigh_sym
@@ -33,7 +34,6 @@ from odg.errors import (
     NonPositiveEigenvalue,
     NotSymmetric,
     PreconditionViolated,
-    RankDeficient,
     ZeroRow,
 )
 
@@ -75,23 +75,19 @@ class TestCovariance:
 
 class TestInformation:
     def test_single_edge(self):
-        got = information_matrix(graph_system(SINGLE_EDGE), Design.uniform(2))
+        got = pseudo_information_matrix(graph_system(SINGLE_EDGE), Design.uniform(2))
         assert np.allclose(got, [[0.25]])
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficient):
-            information_matrix(instances.centered_contrasts(3), Design.uniform(3))
 
     def test_eigenvalues_invert_laplacian_spectrum(self, tree7, tree7_graph):
         d = Design.uniform(7)
-        info = eigenvalues_sym(information_matrix(tree7, d))
+        info = eigenvalues_sym(pseudo_information_matrix(tree7, d))
         lap = eigenvalues_sym(vertex_weighted_laplacian(tree7_graph, d))
         positive = lap.values[: lap.positive_count]
         assert np.allclose(np.sort(info.values), np.sort(1.0 / positive), rtol=1e-10)
 
     def test_pseudo_agrees_on_full_rank(self, tree7, rng):
         d = instances.random_design(rng, 7)
-        a = information_matrix(tree7, d)
+        a = np.linalg.inv(covariance_matrix(tree7, d))
         b = pseudo_information_matrix(tree7, d)
         assert np.abs(a - b).max() < 1e-10
 
@@ -112,6 +108,29 @@ class TestInformation:
             assert np.abs(v @ c @ v - v).max() < 1e-8 * scale
             assert np.abs(v @ c - (v @ c).T).max() < 1e-9
             assert np.abs(c @ v - (c @ v).T).max() < 1e-9
+
+
+PATH3 = ComparisonGraph(3, ((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("v", [2, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: psi_p(graph_system(PATH3), d, -1.0),
+        lambda d: efficiency(graph_system(PATH3), d, Design.uniform(3), -1.0),
+        lambda d: e_certificate(graph_system(PATH3), d),
+        lambda d: pseudo_information_matrix(graph_system(PATH3), d),
+        lambda d: vertex_weighted_laplacian(PATH3, d),
+        lambda d: verify_d_identity(PATH3, d),
+    ],
+    ids=["psi_p", "efficiency", "e_certificate", "pseudo_information_matrix", "vertex_weighted_laplacian",
+         "verify_d_identity"],
+)
+def test_design_of_wrong_length_refused(call, v):
+    # _kernels.weighted_gram, the one place that scales by a design, refuses it
+    with pytest.raises(InfeasibleDesign, match=f"design has {v} weights for a system on 3 treatments"):
+        call(Design.uniform(v))
 
 
 class TestLaplacian:
