@@ -23,8 +23,10 @@ that the reported criterion and spectrum, the descent and the E-certificate
 all read. One rule per p (``_reduce``) gives the value and the gradient's
 coefficients.
 
-Pass p = -inf as ``float("-inf")``; it is handled as a distinct code path,
-never as a numerical limit of the finite-p formula.
+Pass p = -inf as ``float("-inf")``; its value is the largest eigenvalue,
+read by a distinct code path, never as a numerical limit of the finite-p
+formula. The optimizer reaches its minimizer through finite p (see
+``optimizer``).
 """
 
 from __future__ import annotations
@@ -73,24 +75,19 @@ def validate_p(p: float) -> float:
     return p
 
 
-def _reduce(top: np.ndarray, p: float, temperature: float | None = None):
+def _reduce(top: np.ndarray, p: float):
     """The criterion's value at the descending eigenvalues ``top``, in their
     units, and the coefficients c of its gradient: as d lambda_j / d w_i =
     -lambda_j u_ij^2 / w_i for the unit eigenvectors u_j of K(w),
     d value / d w_i = -sum_j c_j u_ij^2 / w_i.
 
-    The value is the largest eigenvalue at p = -inf, its log-sum-exp
-    smoothing at a temperature, and at finite p = -q the power mean
-    1/phi_p = lambda_1 e^m, m = (1/q) log mean_j t_j, with l_j =
-    log(lambda_j / lambda_1) and t_j = e^(q l_j) in (0, 1], so no power
-    overflows; c_j = value t_j / sum t. Where q max_j |l_j| < 1e-5 the
+    The value is the largest eigenvalue at p = -inf, and at finite p = -q
+    the power mean 1/phi_p = lambda_1 e^m, m = (1/q) log mean_j t_j, with
+    l_j = log(lambda_j / lambda_1) and t_j = e^(q l_j) in (0, 1], so no
+    power overflows; c_j = value t_j / sum t. Where q max_j |l_j| < 1e-5 the
     mean's log loses its digits, and the series m = mean l + (q/2) var l
     takes its place: p = 0's mean l at q = 0, nan where l is not finite.
     """
-    if temperature is not None:
-        weights = np.exp((top - top[0]) / temperature)
-        total = weights.sum()
-        return top[0] + temperature * math.log(total), weights / total * top
     if p == -math.inf:
         return float(top[0]), top[:1]
     q = -p
@@ -127,10 +124,10 @@ def criterion_from_spectrum(spectrum: Spectrum, rank: int, p: float) -> Criterio
 class _Evaluation:
     """All v eigenpairs of K(w) at a design, descending, read at p.
 
-    ``value`` and ``gradient`` reduce the top ``rank`` (all v when smoothed)
-    unchecked, so the descent can evaluate any iterate; ``criterion`` checks
-    them against ``spectrum``, which is made on first read, so a descent
-    iterate goes without it.
+    ``value`` and ``gradient`` reduce the top ``rank`` unchecked, so the
+    descent can evaluate any iterate; ``criterion`` checks them against
+    ``spectrum``, which is made on first read, so a descent iterate goes
+    without it.
     """
 
     gram: np.ndarray
@@ -140,7 +137,6 @@ class _Evaluation:
     rank: int
     p: float
     rank_tol: float = RANK_TOL
-    temperature: float | None = None
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -148,8 +144,7 @@ class _Evaluation:
 
     @cached_property
     def _reduction(self) -> tuple[float, np.ndarray]:
-        top = self.values if self.temperature is not None else self.values[: self.rank]
-        return _reduce(top, self.p, self.temperature)
+        return _reduce(self.values[: self.rank], self.p)
 
     @property
     def value(self) -> float:
@@ -190,15 +185,14 @@ def _evaluate(
     rank: int,
     p: float,
     rank_tol: float = RANK_TOL,
-    temperature: float | None = None,
 ) -> _Evaluation:
-    """Eigensolve K(w) once, to be read at p (smoothed at ``temperature``).
+    """Eigensolve K(w) once, to be read at p.
 
     K(w) is symmetric by construction, so it skips ``eigensystem_sym``'s
     check; ``rank_tol`` sets the threshold of the spectrum it reports.
     """
     values, vectors = eigh_sym(weighted_gram(gram, w))
-    return _Evaluation(gram, w, values, vectors, rank, validate_p(p), rank_tol, temperature)
+    return _Evaluation(gram, w, values, vectors, rank, validate_p(p), rank_tol)
 
 
 def psi_p(

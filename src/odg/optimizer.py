@@ -7,12 +7,13 @@ Armijo backtrack along the projected direction. It stops when the relative
 decrease of an accepted step falls below the tolerance, or when no decrease
 is left that the criterion value can resolve. All criteria handled here are
 convex in w, so the iteration converges to the global minimum. The
-nonsmooth largest-eigenvalue criterion (p = -inf) is minimized through a
-log-sum-exp smoothing of the spectrum whose temperature is annealed toward
-zero, finishing with a polish pass at the final temperature. Each stage
+nonsmooth largest-eigenvalue criterion (p = -inf) is the limit of 1/phi_p
+as p -> -inf, and is minimized by continuation in p: one descent per
+exponent of ``E_EXPONENTS``, each from the last one's design. Each stage
 opens with the previous stage's last Barzilai-Borwein step, scaled by the
-temperature ratio: the smoothing's curvature grows as 1 / temperature, so
-a unit first move would be halved some 25 times before it is accepted.
+ratio of the exponents: the power mean's curvature grows as -p, so a unit
+first move would be halved many times before it is accepted. The result
+is read at p = -inf from the last iterate's eigendecomposition.
 
 Each design, iterate or report, is one ``criteria._evaluate``: one
 eigendecomposition of K(w). The returned design is the last accepted
@@ -44,6 +45,9 @@ GRID_MAX_V = 4
 GRID_STEP_RANGE = (1e-3, 0.1)
 FLOOR = 1e-9  # minimum weight kept strictly positive
 RESOLUTION = 4.0 * np.finfo(np.float64).eps  # smallest relative change of a criterion value taken as real
+# the exponents p = -inf is approached through: -10, then five times the
+# last -p per stage, ending at -1e9
+E_EXPONENTS = (*(-10.0 * 5.0**k for k in range(12)), -1e9)
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,8 @@ def _descend(current, tol, max_iter, averager, step=None):
     last change of design and of gradient), capped at 2 / |grad| since the
     simplex has diameter sqrt(2), projects once to get the direction d, and
     backtracks by halving lambda along w + lambda d until the Armijo test
-    holds. The first iteration takes ``step``, the last stage's step when
-    annealing; with none given, the unit move 1 / |grad|. Returns (last
+    holds. The first iteration takes ``step``, the last stage's step on the
+    way to p = -inf; with none given, the unit move 1 / |grad|. Returns (last
     accepted evaluation, iterations, converged, last Barzilai–Borwein step).
     It converges when the relative decrease of an accepted step falls below
     ``tol``, or when the decrease the line search predicts, -lambda grad'd,
@@ -131,9 +135,7 @@ def _descend(current, tol, max_iter, averager, step=None):
         for _ in range(60):  # a guard: the value is positive at every p, so the resolution is never 0
             if -lam * slope <= resolution:
                 break
-            candidate = _evaluate(
-                current.gram, current.w + lam * direction, current.rank, current.p, current.rank_tol, current.temperature
-            )
+            candidate = _evaluate(current.gram, current.w + lam * direction, current.rank, current.p, current.rank_tol)
             if candidate.value <= value + 1e-4 * lam * slope:
                 trial = candidate
                 break
@@ -165,16 +167,15 @@ def optimize_phi_p(
 ) -> OptimizationResult:
     """Minimize the criterion over the floored simplex.
 
-    Finite p (including 0) runs one spectral projected gradient descent
-    (``_descend``) on 1/phi_p; p = -inf runs one per temperature, annealing
-    the smoothing from 0.1 * lambda_max down by factors of 5 to a 1e-9 relative
-    floor, then polishes. Each stage after the first starts from the last
-    stage's Barzilai-Borwein step times the temperature ratio (1/5, or more
-    where the floor stops the cooling). Each descent stops when the
-    relative decrease falls below ``opts.tol`` or when no decrease is left
-    to resolve. The result's criterion and certificate read the last
-    iterate's evaluation.
-    ``converged`` reports whether the final descent stopped so within the
+    Finite p (including 0) is one stage: one spectral projected gradient
+    descent (``_descend``) on 1/phi_p. p = -inf is one stage per exponent
+    of ``E_EXPONENTS``, each descending 1/phi_p from the last stage's
+    design, its first step the last stage's Barzilai-Borwein step times
+    the ratio of the exponents (1/5, and 0.49 into -1e9). Each descent
+    stops when the relative decrease falls below ``opts.tol`` or when no
+    decrease is left to resolve. The result's criterion and certificate
+    read the last iterate's eigendecomposition at p.
+    ``converged`` reports whether the last stage stopped so within the
     iteration budget; it certifies nothing at finite p.
     """
     p = validate_p(p)
@@ -188,30 +189,18 @@ def optimize_phi_p(
         averager = _orbit_average(opts.orbits)
         w = averager(w)
     final = _evaluate(system.gram, project_floored_simplex(w, FLOOR), rank, p)
-
+    stages = E_EXPONENTS if p == -math.inf else (p,)
     total_iterations = 0
-    if p == -math.inf:
-        # each temperature starts from the last design's eigendecomposition
-        # and the last step, scaled by the temperature ratio
-        scale = final.value
-        temperature = 0.1 * scale
-        temperature_floor = 1e-9 * scale
-        converged = False
-        step = None
-        while total_iterations < opts.max_iter:
-            final, used, converged, step = _descend(
-                replace(final, temperature=temperature), opts.tol, opts.max_iter - total_iterations, averager, step
-            )
-            total_iterations += used
-            if temperature <= temperature_floor:
-                break
-            cooled = max(temperature / 5.0, temperature_floor)
-            step *= cooled / temperature
-            temperature = cooled
-        converged = converged and temperature <= temperature_floor
-        final = replace(final, temperature=None)
-    else:
-        final, total_iterations, converged, _ = _descend(final, opts.tol, opts.max_iter, averager)
+    step = None
+    for k, stage in enumerate(stages):
+        if k:
+            step *= stages[k - 1] / stage
+        # a stage left no iteration budget returns at once, unconverged
+        final, used, converged, step = _descend(
+            replace(final, p=stage), opts.tol, opts.max_iter - total_iterations, averager, step
+        )
+        total_iterations += used
+    final = replace(final, p=p)
 
     return OptimizationResult(
         design=Design(final.w),

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._config import RANK_TOL, WEIGHT_SUM_TOL
 from ._kernels import eigh_sym, weighted_gram
-from .contrasts import ComparisonGraph, ContrastSystem, graph_system
+from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
 from .errors import InfeasibleDesign, NotSymmetric
 
 _SYM_TOL = 1e-10
@@ -130,11 +130,11 @@ def pseudo_information_matrix(system: ContrastSystem, design: Design) -> np.ndar
 
     With H = diag(w)^{-1/2} q the covariance matrix is H^T H and
     K(w) = H H^T = U diag(lam) U^T, so its pseudo-inverse is
-    H^T U_r diag(lam_r)^{-2} U_r^T H over the r eigenvalues of K(w) above
-    the positivity threshold.
+    H^T U_r diag(lam_r)^{-2} U_r^T H over the top r = ``rank_of(system)``
+    eigenvalues of K(w), the rank every criterion reads.
     """
     values, vecs = eigh_sym(weighted_gram(system.gram, design.w))
-    r = spectrum_of(values, RANK_TOL).positive_count
+    r = rank_of(system)
     uh = vecs[:, :r].T @ (system.q / np.sqrt(design.w)[:, None])
     return (uh.T / values[:r] ** 2) @ uh
 

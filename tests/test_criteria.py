@@ -198,20 +198,20 @@ def test_non_positive_eigenvalue_message_prints_plain_floats():
 
 
 @pytest.mark.parametrize(
-    "p, temperature",
-    [(0.0, None), (-1e-8, None), (-0.5, None), (-2.0, None), (-300.0, None), (NEG_INF, 0.1)],
-    ids=["0", "-1e-8", "-0.5", "-2", "-300", "smoothed-inf"],
+    "p",
+    [0.0, -1e-8, -0.5, -2.0, -300.0, -10.0, -1e4, -1e9],
+    ids=["0", "-1e-8", "-0.5", "-2", "-300", "-10", "-1e4", "-1e9"],
 )
-def test_reduction_gradient_matches_central_differences(tree7, rng, p, temperature):
+def test_reduction_gradient_matches_central_differences(tree7, rng, p):
     # the descent's gradient -sum_j c_j u_ij^2 / w_i against its own value,
-    # on a full-rank tree and a rank-deficient (rank 3 < v-1) general system
+    # on a full-rank tree and a rank-deficient (rank 3 < v-1) general system;
+    # -10, -1e4 and -1e9 span the exponents the descent takes toward p = -inf
     for system in (tree7, instances.random_contrast_system(rng, 8, 3)):
         rank = rank_of(system)
         w = instances.random_design(rng, system.v).w
-        t = None if temperature is None else temperature * _evaluate(system.gram, w, rank, p).values[0]
 
         def evaluate(x):
-            return _evaluate(system.gram, x, rank, p, temperature=t)
+            return _evaluate(system.gram, x, rank, p)
 
         fd = np.empty(system.v)
         for i in range(system.v):

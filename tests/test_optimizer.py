@@ -264,7 +264,7 @@ def test_numeric_criterion_is_psi_p_at_the_returned_design(name, p):
 
 
 def test_e_optimal_descent_eigensolve_budget(monkeypatch):
-    # K8's uniform design is E-optimal, so every temperature stage starts at
+    # K8's uniform design is E-optimal, so every exponent stage starts at
     # a stationary point; a stage must stop there after a few eigensolves,
     # not after a line search halved down to machine resolution
     counts = {"eigh": 0, "stages": 0}
@@ -287,6 +287,27 @@ def test_e_optimal_descent_eigensolve_budget(monkeypatch):
     assert counts["eigh"] <= 10 * counts["stages"]
 
 
+def test_e_optimum_is_reached_through_finite_exponents(monkeypatch, tree7, paw_system):
+    # p = -inf is a sequence of ordinary descents on 1/phi_p, -p growing
+    # fivefold per stage from 10 to 1e9; the result is read at p = -inf
+    stages = []
+    descend = odg.optimizer._descend
+
+    def recorded_descend(current, *args):
+        stages.append(current.p)
+        return descend(current, *args)
+
+    monkeypatch.setattr(odg.optimizer, "_descend", recorded_descend)
+    result = optimize_phi_p(tree7, NEG_INF)
+    assert stages == [-10.0 * 5.0**k for k in range(12)] + [-1e9]
+    assert result.converged
+    assert result.evaluation.p == NEG_INF
+    assert result.criterion.p == NEG_INF
+    # the paw's exact E-optimum is 13 (see test_largest_eigenvalue_paw)
+    paw = optimize_phi_p(paw_system, NEG_INF)
+    assert abs(paw.criterion.psi - 13.0) / 13.0 <= 5e-7
+
+
 def _count_eigensolves_and_stages(monkeypatch) -> dict:
     counts = {"eigh": 0, "stages": 0}
     eigh_sym, descend = odg.criteria.eigh_sym, odg.optimizer._descend
@@ -305,12 +326,12 @@ def _count_eigensolves_and_stages(monkeypatch) -> dict:
 
 
 def test_e_optimal_stages_carry_the_step(monkeypatch):
-    # K20's uniform design is E-optimal with a 19-fold top eigenvalue; below
-    # a temperature of about 1e-4 lambda the smoothed gradient there is
-    # rounding noise. A stage that opens with the last stage's step, scaled
-    # by the cooling, predicts no resolvable decrease and stops without a
-    # trial; one that opened with a unit move rejected 5-20 trials (72
-    # eigensolves over 14 stages)
+    # K20's uniform design is E-optimal with a 19-fold top eigenvalue, so
+    # the power mean's gradient there is uniform up to rounding noise. A
+    # stage that opens with the last stage's step, scaled by the ratio of
+    # the exponents, predicts no resolvable decrease and stops without a
+    # trial; stages that open with a unit move take 71 eigensolves over the
+    # 13 stages
     counts = _count_eigensolves_and_stages(monkeypatch)
     result = optimize_phi_p(graph_system(instances.complete_graph(20)), NEG_INF)
     assert result.converged
@@ -320,8 +341,9 @@ def test_e_optimal_stages_carry_the_step(monkeypatch):
 
 
 def test_sparse_e_optimal_descent_eigensolves(monkeypatch):
-    # v = 39, 62 comparisons; restarting each temperature stage from a unit
-    # first step took 421 eigensolves here
+    # v = 39, 62 comparisons; restarting each stage from a unit first step
+    # takes 426 eigensolves here (421 under the log-sum-exp smoothing that
+    # the budget was set against)
     graph = instances.random_connected_graph(np.random.default_rng(2), v_max=40, v_min=30)
     assert graph.v >= 30
     counts = _count_eigensolves_and_stages(monkeypatch)

@@ -113,6 +113,19 @@ class TestInformation:
 PATH3 = ComparisonGraph(3, ((0, 1), (1, 2)))
 
 
+@pytest.mark.parametrize("w1", [1e-11, 1e-12])
+def test_pseudo_information_matrix_reads_the_system_rank(w1):
+    # at w proportional to (w1, 1, 1), K(w)'s smaller positive eigenvalue is
+    # below RANK_TOL times its largest, yet the system has rank 2: a rank
+    # counted on K(w) drops it and is 100 % off the pseudo-inverse
+    system = graph_system(PATH3)
+    design = Design.normalized([w1, 1.0, 1.0])
+    assert rank_of(system) == 2
+    expected = np.linalg.pinv(covariance_matrix(system, design))
+    got = pseudo_information_matrix(system, design)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("v", [2, 4])
 @pytest.mark.parametrize(
     "call",
