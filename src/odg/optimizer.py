@@ -1,18 +1,17 @@
 """Numerical criterion minimization over the open simplex.
 
-The workhorse is monotone spectral projected gradient (Birgin, Martinez &
-Raydan, SIAM J. Optim. 2000) on the floored simplex {w : w_i >= FLOOR,
-sum w = 1}: a Barzilai-Borwein step, one projection per iteration and an
-Armijo backtrack along the projected direction. It stops when the relative
-decrease of an accepted step falls below the tolerance, or when no decrease
-is left that the criterion value can resolve. All criteria handled here are
-convex in w, so the iteration converges to the global minimum. The
-nonsmooth largest-eigenvalue criterion (p = -inf) is the limit of 1/phi_p
-as p -> -inf, and is minimized by continuation in p: one descent per
-exponent of ``E_EXPONENTS``, each from the last one's design. Each stage
-opens with the previous stage's last Barzilai-Borwein step, scaled by the
-ratio of the exponents: the power mean's curvature grows as -p, so a unit
-first move would be halved many times before it is accepted. The result
+The workhorse is L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989) on the
+log-weights z, with the design w = softmax(z): the two-loop direction from
+the last ``PAIRS`` curvature pairs and an Armijo backtrack along it. It
+stops when the relative decrease of an accepted step falls below the
+tolerance, or when no decrease is left that the criterion value can
+resolve. All criteria handled here are convex in w, so the iteration
+converges to the global minimum. The nonsmooth largest-eigenvalue
+criterion (p = -inf) is the limit of 1/phi_p as p -> -inf, and is
+minimized by continuation in p: one descent per exponent of
+``E_EXPONENTS``, each from the last one's design. Each stage opens with
+the previous stage's curvature pairs, their gradient changes scaled by the
+ratio of the exponents: the power mean's curvature grows as -p. The result
 is read at p = -inf from the last iterate's eigendecomposition.
 
 Each design, iterate or report, is one ``criteria._evaluate``: one
@@ -44,6 +43,7 @@ from .errors import NotConverged, TooLarge
 GRID_MAX_V = 4
 GRID_STEP_RANGE = (1e-3, 0.1)
 FLOOR = 1e-9  # minimum weight kept strictly positive
+PAIRS = 10  # the curvature pairs the quasi-Newton descent keeps
 RESOLUTION = 4.0 * np.finfo(np.float64).eps  # smallest relative change of a criterion value taken as real
 # the exponents p = -inf is approached through: -10, then five times the
 # last -p per stage, ending at -1e9
@@ -97,61 +97,98 @@ def _orbit_average(orbits: OrbitReduction) -> Callable:
     return average
 
 
-def _descend(current, tol, max_iter, averager, step=None):
-    """Monotone spectral projected gradient from the evaluation ``current``;
-    each trial point is evaluated as ``current`` was.
+def _softmax(z: np.ndarray) -> np.ndarray:
+    w = np.exp(z - z.max())
+    return w / w.sum()
 
-    Each iteration takes one Barzilai–Borwein step s's / s'y (s and y the
-    last change of design and of gradient), capped at 2 / |grad| since the
-    simplex has diameter sqrt(2), projects once to get the direction d, and
-    backtracks by halving lambda along w + lambda d until the Armijo test
-    holds. The first iteration takes ``step``, the last stage's step on the
-    way to p = -inf; with none given, the unit move 1 / |grad|. Returns (last
-    accepted evaluation, iterations, converged, last Barzilai–Borwein step).
-    It converges when the relative decrease of an accepted step falls below
-    ``tol``, or when the decrease the line search predicts, -lambda grad'd,
-    falls below RESOLUTION times the criterion value: no decrease is left
-    to resolve. The value is in the eigenvalues' units, so nothing here
-    overflows; ``NotConverged`` means that K(w) itself is not finite.
+
+def _lbfgs_direction(grad, pairs, value):
+    """The L-BFGS two-loop recursion (Liu & Nocedal, Math. Prog. 45, 1989):
+    minus the inverse-Hessian estimate of the curvature ``pairs`` (s, y,
+    1/s'y), oldest first, applied to ``grad``, scaled by s'y/y'y of the
+    newest pair. With no pair, -grad / value: a move of relative size
+    |grad| / value in the log-weights."""
+    if not pairs:
+        return -grad / value
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q -= alphas[-1] * y
+    s, y, _ = pairs[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
+
+
+def _descend(current, tol, max_iter, averager, pairs):
+    """L-BFGS on the log-weights z from the evaluation ``current``; each
+    trial point is evaluated as ``current`` was.
+
+    The design is w = softmax(z), so every iterate lies in the open
+    simplex, and the criterion's gradient in z is w (g - g'w), with g its
+    (orbit-averaged) gradient in w. Each iteration takes the two-loop
+    direction d from the last ``PAIRS`` curvature pairs (changes s of z and
+    y of the z-gradient; a pair with s'y <= 1e-12 |s| |y| is skipped) and
+    backtracks by halving lambda from 1 along z + lambda d until the Armijo
+    test holds; a trial with a weight below FLOOR fails it unevaluated.
+    With no pair, and after a direction that is not a descent direction
+    has dropped the pairs, the step is -grad / value, which at a
+    stationary point predicts no resolvable decrease from the gradient's
+    rounding noise. ``pairs`` opens the descent, the last stage's on the
+    way to p = -inf. Returns (last accepted evaluation, iterations, converged,
+    curvature pairs). It converges when the relative decrease of an
+    accepted step falls below ``tol``, or when the decrease the line search
+    predicts, -lambda grad'd, falls below RESOLUTION times the criterion
+    value: no decrease is left to resolve. The value is in the eigenvalues'
+    units and the z-gradient is bounded by it, so nothing here overflows;
+    ``NotConverged`` means that K(w) itself is not finite.
     """
-    grad = averager(current.gradient())
-    if step is None:  # no curvature seen yet: a unit move
-        step = 1.0 / math.hypot(*grad)
+    z = np.log(current.w)
+    g = averager(current.gradient())
+    grad = current.w * (g - g @ current.w)
     iterations = 0
     converged = False
     while iterations < max_iter:
         value = current.value
-        # hypot scales before squaring: the squares overflow once an entry
-        # passes 1e154, while the norm itself stays finite far beyond that
-        norm = math.hypot(*grad)
-        if not (math.isfinite(value) and math.isfinite(norm)):
+        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
             raise NotConverged(f"the criterion or its gradient is not finite at p={current.p}")
         iterations += 1
-        direction = project_floored_simplex(current.w - min(step, 2.0 / norm) * grad, FLOOR) - current.w
+        direction = _lbfgs_direction(grad, pairs, value)
         slope = float(grad @ direction)
+        if not slope < 0.0:  # not a descent direction: forget the curvature
+            pairs = []
+            direction = _lbfgs_direction(grad, pairs, value)
+            slope = float(grad @ direction)
         resolution = RESOLUTION * abs(value)
         trial = None
         lam = 1.0
         for _ in range(60):  # a guard: the value is positive at every p, so the resolution is never 0
             if -lam * slope <= resolution:
                 break
-            candidate = _evaluate(current.gram, current.w + lam * direction, current.rank, current.p, current.rank_tol)
-            if candidate.value <= value + 1e-4 * lam * slope:
-                trial = candidate
-                break
+            w = _softmax(z + lam * direction)
+            if w.min() >= FLOOR:  # an underflowed weight would divide by zero in K(w)
+                candidate = _evaluate(current.gram, w, current.rank, current.p, current.rank_tol)
+                if candidate.value <= value + 1e-4 * lam * slope:
+                    trial = candidate
+                    break
             lam *= 0.5
         if trial is None:  # no decrease left that the value can resolve
             converged = True
             break
-        s = trial.w - current.w
-        current = trial
-        previous, grad = grad, averager(trial.gradient())
-        curvature = float(s @ (grad - previous))
-        step = float(s @ s) / curvature if curvature > 0.0 else math.inf
+        s = lam * direction
+        z, current = z + s, trial
+        g = averager(trial.gradient())
+        previous, grad = grad, trial.w * (g - g @ trial.w)
+        y = grad - previous
+        curvature = float(s @ y)
+        if curvature > 1e-12 * math.sqrt(float(s @ s) * float(y @ y)):
+            pairs = [*pairs[1 - PAIRS :], (s, y, 1.0 / curvature)]
         if (value - trial.value) / max(abs(value), 1e-300) < tol:
             converged = True
             break
-    return current, iterations, converged, step
+    return current, iterations, converged, pairs
 
 
 def _initial_point(system: ContrastSystem, p: float) -> np.ndarray:
@@ -165,16 +202,16 @@ def optimize_phi_p(
     p: float,
     opts: OptimizeOptions | None = None,
 ) -> OptimizationResult:
-    """Minimize the criterion over the floored simplex.
+    """Minimize the criterion over the open simplex.
 
-    Finite p (including 0) is one stage: one spectral projected gradient
-    descent (``_descend``) on 1/phi_p. p = -inf is one stage per exponent
-    of ``E_EXPONENTS``, each descending 1/phi_p from the last stage's
-    design, its first step the last stage's Barzilai-Borwein step times
-    the ratio of the exponents (1/5, and 0.49 into -1e9). Each descent
-    stops when the relative decrease falls below ``opts.tol`` or when no
-    decrease is left to resolve. The result's criterion and certificate
-    read the last iterate's eigendecomposition at p.
+    Finite p (including 0) is one stage: one L-BFGS descent (``_descend``)
+    on 1/phi_p. p = -inf is one stage per exponent of ``E_EXPONENTS``, each
+    descending 1/phi_p from the last stage's design and curvature pairs,
+    each pair's y times the ratio of the exponents and its 1/s'y divided
+    by it (5, and about 2.05 into -1e9). Each descent stops when the
+    relative decrease falls below ``opts.tol`` or when no decrease is left
+    to resolve. The result's criterion and certificate read the last
+    iterate's eigendecomposition at p.
     ``converged`` reports whether the last stage stopped so within the
     iteration budget; it certifies nothing at finite p.
     """
@@ -188,16 +225,17 @@ def optimize_phi_p(
             raise ValueError("orbit reduction does not match the system size")
         averager = _orbit_average(opts.orbits)
         w = averager(w)
-    final = _evaluate(system.gram, project_floored_simplex(w, FLOOR), rank, p)
+    final = _evaluate(system.gram, w, rank, p)
     stages = E_EXPONENTS if p == -math.inf else (p,)
     total_iterations = 0
-    step = None
+    pairs = []
     for k, stage in enumerate(stages):
-        if k:
-            step *= stages[k - 1] / stage
+        if k:  # the curvature of 1/phi_p grows as -p
+            ratio = stage / stages[k - 1]
+            pairs = [(s, ratio * y, rho / ratio) for s, y, rho in pairs]
         # a stage left no iteration budget returns at once, unconverged
-        final, used, converged, step = _descend(
-            replace(final, p=stage), opts.tol, opts.max_iter - total_iterations, averager, step
+        final, used, converged, pairs = _descend(
+            replace(final, p=stage), opts.tol, opts.max_iter - total_iterations, averager, pairs
         )
         total_iterations += used
     final = replace(final, p=p)

@@ -151,7 +151,8 @@ class TestOptimize:
     @pytest.mark.parametrize("c", [1 / 64, 8.0, 1024.0])
     def test_scale_equivariant_bit_for_bit(self, p, c):
         # Q -> cQ with c a power of 2 scales K(w), the value and the gradient
-        # by c^2 exactly, and every step by 1/c^2: the same iterates follow
+        # by c^2 exactly, each curvature pair's y by c^2 and its 1/s'y by
+        # 1/c^2, and leaves every direction as it is: the same iterates follow
         rng = np.random.default_rng(5)
         for v, s in ((6, 9), (9, 4)):
             system = instances.random_contrast_system(rng, v, s)
@@ -266,7 +267,8 @@ def test_numeric_criterion_is_psi_p_at_the_returned_design(name, p):
 def test_e_optimal_descent_eigensolve_budget(monkeypatch):
     # K8's uniform design is E-optimal, so every exponent stage starts at
     # a stationary point; a stage must stop there after a few eigensolves,
-    # not after a line search halved down to machine resolution
+    # not after a line search halved down to machine resolution. L-BFGS
+    # takes 7 over the 13 stages, the carried Barzilai-Borwein step took 1
     counts = {"eigh": 0, "stages": 0}
     eigh_sym, descend = odg.criteria.eigh_sym, odg.optimizer._descend
 
@@ -308,6 +310,51 @@ def test_e_optimum_is_reached_through_finite_exponents(monkeypatch, tree7, paw_s
     assert abs(paw.criterion.psi - 13.0) / 13.0 <= 5e-7
 
 
+def test_e_optimum_of_the_paw_to_eight_digits(paw_system):
+    # each exponent stage stops on the relative decrease of one accepted
+    # step; the stages still close in on the exact E-optimum, 13
+    paw = optimize_phi_p(paw_system, NEG_INF)
+    assert abs(paw.criterion.psi - 13.0) / 13.0 <= 1e-8
+
+
+def _record_lowest_weights(monkeypatch) -> list:
+    """The smallest weight of every design the optimizer evaluates."""
+    lowest = []
+    evaluate = odg.criteria._evaluate
+
+    def checked_evaluate(gram, w, *args):
+        lowest.append(float(w.min()))
+        return evaluate(gram, w, *args)
+
+    monkeypatch.setattr(odg.optimizer, "_evaluate", checked_evaluate)
+    return lowest
+
+
+@pytest.mark.parametrize("p", [-0.5, -150.0, -200.0, NEG_INF], ids=["-0.5", "-150", "-200", "-inf"])
+def test_descent_evaluates_no_weight_below_the_floor(monkeypatch, tree7, p):
+    # a trial whose softmax weight falls below FLOOR fails its line search
+    # unevaluated: an underflowed weight would divide by zero in K(w)
+    lowest = _record_lowest_weights(monkeypatch)
+    optimize_phi_p(tree7, p)
+    assert lowest
+    assert min(lowest) >= odg.optimizer.FLOOR
+
+
+def test_trials_below_the_floor_are_halved_unevaluated(monkeypatch, tree7):
+    # a curvature pair y = 1e-6 s makes the inverse-Hessian estimate 1e6 I,
+    # so the first trials' softmax weights underflow to 0; the line search
+    # must halve past them without an eigensolve and still descend
+    start = _evaluate(tree7.gram, np.full(7, 1.0 / 7), rank_of(tree7), -2.0)
+    s = np.random.default_rng(7).standard_normal(7)
+    pairs = [(s, 1e-6 * s, 1.0 / (1e-6 * float(s @ s)))]
+    lowest = _record_lowest_weights(monkeypatch)
+    final, iterations, _, _ = odg.optimizer._descend(start, 1e-8, 1, np.asarray, pairs)
+    assert iterations == 1
+    assert lowest
+    assert min(lowest) >= odg.optimizer.FLOOR
+    assert final.value < start.value
+
+
 def _count_eigensolves_and_stages(monkeypatch) -> dict:
     counts = {"eigh": 0, "stages": 0}
     eigh_sym, descend = odg.criteria.eigh_sym, odg.optimizer._descend
@@ -328,10 +375,11 @@ def _count_eigensolves_and_stages(monkeypatch) -> dict:
 def test_e_optimal_stages_carry_the_step(monkeypatch):
     # K20's uniform design is E-optimal with a 19-fold top eigenvalue, so
     # the power mean's gradient there is uniform up to rounding noise. A
-    # stage that opens with the last stage's step, scaled by the ratio of
-    # the exponents, predicts no resolvable decrease and stops without a
-    # trial; stages that open with a unit move take 71 eigensolves over the
-    # 13 stages
+    # stage with no curvature pair to carry steps -grad / value in the
+    # log-weights, which predicts no resolvable decrease, and stops without
+    # a trial; only the last stage, p = -1e9, makes two: 3 eigensolves over
+    # the 13 stages (the carried Barzilai-Borwein step took 2, a unit move
+    # per stage 71)
     counts = _count_eigensolves_and_stages(monkeypatch)
     result = optimize_phi_p(graph_system(instances.complete_graph(20)), NEG_INF)
     assert result.converged
@@ -341,15 +389,27 @@ def test_e_optimal_stages_carry_the_step(monkeypatch):
 
 
 def test_sparse_e_optimal_descent_eigensolves(monkeypatch):
-    # v = 39, 62 comparisons; restarting each stage from a unit first step
-    # takes 426 eigensolves here (421 under the log-sum-exp smoothing that
-    # the budget was set against)
+    # v = 39, 62 comparisons; L-BFGS with its curvature pairs carried from
+    # stage to stage takes 152 eigensolves here, the carried
+    # Barzilai-Borwein step took 199, a unit first step per stage 426, and
+    # the log-sum-exp smoothing that the budget was set against 421
     graph = instances.random_connected_graph(np.random.default_rng(2), v_max=40, v_min=30)
     assert graph.v >= 30
     counts = _count_eigensolves_and_stages(monkeypatch)
     result = optimize_phi_p(graph_system(graph), NEG_INF)
     assert result.converged
     assert counts["eigh"] <= 0.7 * 421
+
+
+def test_sparse_e_optimal_descent_eigensolve_count(monkeypatch):
+    # the graph of test_sparse_e_optimal_descent_eigensolves; L-BFGS on the
+    # log-weights takes 152 eigensolves here, the Barzilai-Borwein
+    # step carried from stage to stage took 199
+    graph = instances.random_connected_graph(np.random.default_rng(2), v_max=40, v_min=30)
+    counts = _count_eigensolves_and_stages(monkeypatch)
+    result = optimize_phi_p(graph_system(graph), NEG_INF)
+    assert result.converged
+    assert counts["eigh"] <= 180
 
 
 @pytest.mark.parametrize("p", [0.0, -0.5, -2.0], ids=["0", "-0.5", "-2"])
