@@ -54,8 +54,6 @@ from .optimizer import (
     e_certificate,
     grid_oracle,
     optimize_phi_p,
-    project_floored_simplex,
-    project_simplex,
 )
 from . import errors
 
@@ -100,8 +98,6 @@ __all__ = [
     "parse_contrast_matrix",
     "parse_edge_list",
     "permute_design",
-    "project_floored_simplex",
-    "project_simplex",
     "pseudo_information_matrix",
     "psi_p",
     "psi_p_via_laplacian",

@@ -44,6 +44,7 @@ from .symmetry import CYCLIC_SEARCH_LIMIT, Permutation, check_invariance, find_c
 from .errors import (
     InfeasibleDesign,
     MalformedInput,
+    NonPositiveEigenvalue,
     NotAContrast,
     NotBipartite,
     NotConverged,
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
     except (MalformedInput, NotAContrast, ZeroRow, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleDesign as exc:
+    except (InfeasibleDesign, NonPositiveEigenvalue) as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return 3
     except NotConverged as exc:

@@ -32,7 +32,6 @@ formula. The optimizer reaches its minimizer through finite p (see
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +41,7 @@ from ._config import RANK_TOL
 from ._kernels import eigh_sym, weighted_gram
 from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
 from .spectral import Design, Spectrum, spectrum_of
-from .errors import DegenerateEigenspace, NonPositiveEigenvalue
+from .errors import NonPositiveEigenvalue
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,11 @@ class CriterionValue:
 class CertificateReport:
     """Largest-eigenvalue optimality certificate.
 
-    lhs_max is the worst value of the linear normality form over the vertex
-    designs, rhs the largest covariance eigenvalue; the design is certified
-    optimal when gap = lhs_max - rhs is nonpositive up to tolerance.
+    lhs_max is the worst value of the linear normality form, averaged over
+    the top eigenspace, over the vertex designs; rhs is the largest
+    covariance eigenvalue lambda_1. gap = lhs_max - rhs <= 0 certifies the
+    design's E-efficiency at least (mean top eigenvalue / lambda_1)^2,
+    which is at least (1 - 1e-8)^2.
     """
 
     lhs_max: float
@@ -160,20 +161,20 @@ class _Evaluation:
         return criterion_from_spectrum(self.spectrum, self.rank, self.p)
 
     def certificate(self) -> CertificateReport:
-        """The rank-one E-certificate (see ``optimizer.e_certificate``).
+        """The E-certificate on the top eigenspace (see ``optimizer.e_certificate``).
 
-        With u the unit eigenvector of K(w)'s top eigenvalue lambda,
-        q h = gram diag(w)^{-1/2} u / sqrt(lambda); h's sign does not matter.
+        The top eigenspace holds the m eigenvalues of K(w) within a relative
+        1e-8 of the largest, lambda_1. With u_j their unit eigenvectors,
+        q h_j = gram diag(w)^{-1/2} u_j / sqrt(lambda_j), and the vertex
+        form is t_i = mean_j ((q h_j)_i / w_i)^2; h_j's sign does not matter.
+        As sum_i w_i t_i is the mean top eigenvalue, lhs_max = max_i t_i <=
+        lambda_1 bounds the E-efficiency below by (mean / lambda_1)^2, at
+        least (1 - 1e-8)^2. At m = 1 this is the rank-one certificate.
         """
         top = float(self.values[0])
-        if self.values[0] - self.values[1] <= 1e-8 * max(top, 1e-300):
-            warnings.warn(
-                "largest eigenvalue has numerical multiplicity > 1; "
-                "the rank-one certificate may fail to certify an optimal design",
-                DegenerateEigenspace,
-            )
-        qh = self.gram @ (self.vectors[:, 0] / np.sqrt(self.w)) / math.sqrt(top)
-        vertex_values = (qh / self.w) ** 2
+        m = int(np.count_nonzero(top - self.values <= 1e-8 * max(top, 1e-300)))
+        qh = self.gram @ (self.vectors[:, :m] / np.sqrt(self.w)[:, None]) / np.sqrt(self.values[:m])
+        vertex_values = np.mean((qh / self.w[:, None]) ** 2, axis=1)
         witness = int(np.argmax(vertex_values))
         lhs_max = float(vertex_values[witness])
         return CertificateReport(lhs_max=lhs_max, rhs=top, gap=lhs_max - top, witness_vertex=witness)

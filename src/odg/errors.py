@@ -51,7 +51,3 @@ class TooLarge(OdgError):
 
 class NotConverged(OdgError):
     """Iterative solver exhausted its budget without meeting the tolerance."""
-
-
-class DegenerateEigenspace(UserWarning):
-    """Top eigenvalue has numerical multiplicity > 1; rank-one certificate may be conservative."""

@@ -320,8 +320,6 @@ class DIdentityReport:
     max_rel_deviation: float
     tol: float
     passed: bool
-    trailing_coefficient: float
-    trailing_ok: bool
 
 
 def verify_d_identity(
@@ -354,9 +352,6 @@ def verify_d_identity(
     for a in values:
         for b in values:
             max_rel = max(max_rel, abs(a - b) / max(abs(a), abs(b), 1e-300))
-    lap_norm = float(np.linalg.norm(lap))
-    trailing = float(coeffs[system.v])
-    trailing_ok = abs(trailing) <= 1e-8 * lap_norm**system.v
     return DIdentityReport(
         rank=rank,
         psi_det=psi_det,
@@ -365,6 +360,4 @@ def verify_d_identity(
         max_rel_deviation=max_rel,
         tol=tol,
         passed=bool(max_rel <= tol),
-        trailing_coefficient=trailing,
-        trailing_ok=trailing_ok,
     )

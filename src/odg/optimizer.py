@@ -67,25 +67,6 @@ class OptimizationResult:
     certificate: Optional[CertificateReport] = None
 
 
-def project_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sorting algorithm)."""
-    u = np.sort(x)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    counts = np.arange(1, x.size + 1)
-    positive = u - cumulative / counts > 0
-    k = int(counts[positive][-1])
-    theta = cumulative[k - 1] / k
-    return np.maximum(x - theta, 0.0)
-
-
-def project_floored_simplex(x: np.ndarray, floor: float) -> np.ndarray:
-    """Projection onto {w : w_i >= floor, sum w = 1} via an affine rescale."""
-    scale = 1.0 - x.size * floor
-    if scale <= 0:
-        raise ValueError(f"floor {floor} leaves no feasible mass for {x.size} weights")
-    return floor + scale * project_simplex((x - floor) / scale)
-
-
 def _orbit_average(orbits: OrbitReduction) -> Callable:
     labels = np.asarray(orbits.orbit_of)
     counts = np.bincount(labels, minlength=orbits.orbit_count).astype(np.float64)
@@ -253,13 +234,17 @@ def optimize_phi_p(
 def e_certificate(system: ContrastSystem, design: Design) -> CertificateReport:
     """Normality certificate for the largest-eigenvalue criterion.
 
-    With h the top unit eigenvector of the covariance matrix and the
-    generalized inverse taken as diag(w)^{-1}, the normality form is linear
-    in the competing design, so its maximum over all feasible designs is
-    attained at a vertex design: lhs_max = max_i ((q h)_i / w_i)^2. The
-    design is certified optimal when lhs_max does not exceed the largest
-    covariance eigenvalue lambda. Both are read from one eigendecomposition
-    of K(w) (see ``criteria._Evaluation.certificate``).
+    The equivalence theorem (Pukelsheim, *Optimal Design of Experiments*,
+    1993, ch. 7; Kiefer, Ann. Statist. 2, 1974) takes a matrix E on the top
+    eigenspace of the covariance matrix; here E is the average of h_j h_j^T
+    over its m unit eigenvectors h_j. With the generalized inverse taken as
+    diag(w)^{-1}, the normality form is linear in the competing design, so
+    its maximum over all feasible designs is attained at a vertex design:
+    lhs_max = max_i mean_j ((q h_j)_i / w_i)^2. When lhs_max does not
+    exceed the largest covariance eigenvalue lambda_1, the design's
+    E-efficiency is at least (mean top eigenvalue / lambda_1)^2 >=
+    (1 - 1e-8)^2. Everything is read from one eigendecomposition of K(w)
+    (see ``criteria._Evaluation.certificate``).
     """
     return _evaluate(system.gram, design.w, rank_of(system), -math.inf).certificate()
 

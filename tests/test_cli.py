@@ -40,6 +40,10 @@ def run_cli(capsys, *argv):
     return code, doc, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def write_weights(tmp_path, name, values):
     path = tmp_path / name
     path.write_text(",".join(repr(float(x)) for x in values) + "\n")
@@ -259,6 +263,23 @@ def test_huge_vertex_count_exits_2(tmp_path, capsys, command):
     assert err == "error: treatment 3 has an all-zero coefficient row\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--p", p] for p in ("0", "-1", "-2", "neg-inf")] + [["oracle", "--mode", "kappa"]],
+    ids=["eval-0", "eval-1", "eval-2", "eval-neg-inf", "oracle-kappa"],
+)
+def test_vanishing_weight_exits_3(tmp_path, capsys, argv):
+    # w proportional to (1e-17, 1, 1, 1) on the 4-ring leaves one eigenvalue of
+    # K(w) above the rank threshold, where the system has rank 3
+    q = tmp_path / "ring.edges"
+    q.write_text("v=4\n1 2\n2 3\n3 4\n4 1\n")
+    w = np.array([1e-17, 1.0, 1.0, 1.0])
+    path = write_weights(tmp_path, "w.txt", w / w.sum())
+    code, doc, err = run_cli(capsys, argv[0], "--q", str(q), "--w", path, *argv[1:])
+    assert code == 3 and doc is None
+    assert err.splitlines() == [err.strip()] and err.startswith("infeasible design:")
+
+
 @pytest.mark.parametrize("bad", ["q", "w"])
 @pytest.mark.parametrize("command", ["eval", "oracle"])
 def test_non_utf8_file_exits_2(tmp_path, path3_edges, capsys, bad, command):
@@ -412,6 +433,20 @@ class TestOracle:
             assert doc["oracle"]["rank"] == v - 1 and doc["oracle"]["passed"] is True
         else:
             assert doc is None and "oracle bound exceeded" in err
+
+    def test_kappa_huge_integer_ring(self, tmp_path, capsys):
+        # a 12-ring with coefficients +-1e13: psi0 is about 1e300 and the
+        # three routes agree, so the report must come out, strict and passed
+        v, c = 12, 10**13
+        rows = [[0] * v for _ in range(v)]
+        for k in range(v):
+            rows[k][k], rows[(k + 1) % v][k] = c, -c
+        q = tmp_path / "ring.csv"
+        q.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        code = main(["oracle", "--q", str(q), "--mode", "kappa"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert doc["oracle"]["rank"] == v - 1 and doc["oracle"]["passed"] is True
 
     def test_kappa_nonpairwise_exits_2(self, tmp_path, capsys):
         q = tmp_path / "avg.csv"

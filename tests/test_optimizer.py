@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import instances
 import odg.criteria
 import odg.optimizer
 from odg import (
+    ComparisonGraph,
     ContrastSystem,
     Design,
     OptimizeOptions,
@@ -22,56 +24,13 @@ from odg import (
     graph_system,
     grid_oracle,
     optimize_phi_p,
-    project_floored_simplex,
-    project_simplex,
     psi_p,
     rank_of,
 )
 from odg.criteria import _evaluate
-from odg.errors import DegenerateEigenspace, TooLarge
+from odg.errors import TooLarge
 
 NEG_INF = float("-inf")
-
-
-class TestSimplexProjection:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=2, max_size=9)
-    )
-    def test_projection_lands_on_simplex(self, values):
-        x = np.array(values)
-        proj = project_simplex(x)
-        assert np.all(proj >= 0)
-        assert math.isclose(proj.sum(), 1.0, abs_tol=1e-9)
-        # projecting a simplex point returns it unchanged
-        again = project_simplex(proj)
-        assert np.abs(again - proj).max() < 1e-9
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=2, max_size=9)
-    )
-    def test_floored_projection(self, values):
-        x = np.array(values)
-        floor = 1e-3
-        proj = project_floored_simplex(x, floor)
-        assert np.all(proj >= floor - 1e-15)
-        assert math.isclose(proj.sum(), 1.0, abs_tol=1e-9)
-
-    def test_projection_is_euclidean_nearest(self, rng):
-        # compare against a dense lattice search on the 3-simplex
-        for _ in range(10):
-            x = rng.standard_normal(3) * 2
-            proj = project_simplex(x)
-            step = 0.01
-            best, dist = None, np.inf
-            for i in range(1, 100):
-                for j in range(1, 100 - i):
-                    cand = np.array([i, j, 100 - i - j]) * step
-                    d = np.sum((cand - x) ** 2)
-                    if d < dist:
-                        best, dist = cand, d
-            assert np.sum((proj - x) ** 2) <= dist + 1e-9
 
 
 class TestOptimize:
@@ -177,8 +136,6 @@ class TestCertificate:
         assert np.abs(values - 24.0).max() <= 24.0 * 1e-8
 
     def test_single_edge(self):
-        from odg import ComparisonGraph
-
         edge = graph_system(ComparisonGraph(2, ((1, 0),)))
         cert = e_certificate(edge, Design.uniform(2))
         assert math.isclose(cert.lhs_max, 4.0, rel_tol=1e-12)
@@ -189,10 +146,32 @@ class TestCertificate:
         cert = e_certificate(paw_system, Design(np.array([3 / 8, 1 / 4, 1 / 4, 1 / 8])))
         assert cert.gap > 1e-3
 
-    def test_degenerate_top_eigenvalue_warns(self):
-        system = graph_system(instances.complete_graph(4))
-        with pytest.warns(DegenerateEigenspace):
-            e_certificate(system, Design.uniform(4))
+    @pytest.mark.parametrize("name", ["K4", "K20", "Petersen", "C7"])
+    def test_multiple_top_eigenvalue_certified(self, name):
+        # the uniform design is E-optimal on these vertex-transitive graphs,
+        # and the top eigenvalue is multiple there; the certificate averages
+        # over the top eigenspace and certifies it, and warns nothing
+        system = graph_system(_symmetric_graph(name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certificates = [
+                e_certificate(system, Design.uniform(system.v)),
+                optimize_phi_p(system, NEG_INF).certificate,
+            ]
+        for cert in certificates:
+            assert cert.gap <= 1e-10 * cert.rhs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_vertex_form_bounds_mean_top_eigenvalue(self, seed):
+        # sum_i w_i t_i is the mean top eigenvalue, so max_i t_i is at least
+        # that mean: the identity the certificate's efficiency bound rests on
+        rng = np.random.default_rng(seed)
+        system = graph_system(instances.random_pairwise_graph(rng))
+        design = instances.random_design(rng, system.v)
+        lam = np.linalg.eigh(covariance_matrix(system, design))[0][::-1]
+        mean_top = lam[lam >= lam[0] - 1e-8 * lam[0]].mean()
+        assert e_certificate(system, design).lhs_max >= (1 - 1e-12) * mean_top
 
     def test_vertex_designs_dominate_interior(self, tree7, rng):
         design = instances.random_design(rng, 7)
@@ -234,8 +213,6 @@ class TestGridOracle:
 
     def test_certificate_sound_on_grid(self, tree7, paw_system):
         # a certified design is never beaten by the lattice beyond slack
-        from odg import ComparisonGraph
-
         square = ComparisonGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
         system = graph_system(square)
         result = e_optimal_bipartite(square)
@@ -244,6 +221,24 @@ class TestGridOracle:
         lattice = grid_oracle(system, NEG_INF, 0.01)
         lattice_value = psi_p(system, lattice, NEG_INF).psi
         assert result.criterion.psi <= lattice_value + 1e-9
+        # K4's uniform design is certified on its triple top eigenvalue
+        k4 = graph_system(instances.complete_graph(4))
+        uniform = Design.uniform(4)
+        cert = e_certificate(k4, uniform)
+        assert cert.gap <= 1e-8
+        lattice_value = psi_p(k4, grid_oracle(k4, NEG_INF, 0.01), NEG_INF).psi
+        assert psi_p(k4, uniform, NEG_INF).psi <= lattice_value + 1e-9
+
+
+def _symmetric_graph(name):
+    if name == "Petersen":
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        return ComparisonGraph(10, tuple(outer + inner + spokes))
+    if name == "C7":
+        return ComparisonGraph(7, tuple((i, (i + 1) % 7) for i in range(7)))
+    return instances.complete_graph(int(name[1:]))
 
 
 def _named_system(name):
