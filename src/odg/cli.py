@@ -225,12 +225,10 @@ def _cmd_optimize(args) -> tuple[dict, int]:
 
     if closed is not None:
         result, method, iterations, converged = closed, closed.method, 0, True
-        certificate = closed.evaluation.certificate() if args.p == -math.inf else None
     else:
         method = "numeric"
         opts = OptimizeOptions(tol=args.tol, max_iter=args.max_iter, orbits=orbits)
         result = optimize_phi_p(system, args.p, opts)
-        certificate = result.certificate
         iterations, converged = result.iterations, result.converged
         if not converged:
             exit_code = 4
@@ -250,7 +248,7 @@ def _cmd_optimize(args) -> tuple[dict, int]:
         design=[float(x) for x in result.design.w],
         criterion=_criterion_doc(result.criterion),
         spectrum=_spectrum_doc(result.evaluation.spectrum, result.evaluation.rank, system.s),
-        certificate=_certificate_doc(certificate) if certificate else None,
+        certificate=_certificate_doc(result.certificate) if result.certificate else None,
         optimizer={"method": method, "iterations": iterations, "converged": converged},
     )
     return doc, exit_code

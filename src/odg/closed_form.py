@@ -5,9 +5,9 @@ by weights proportional to the row norms of the coefficient matrix, which
 for pairwise systems reduces to square roots of vertex degrees. For
 bipartite pairwise systems the largest-eigenvalue criterion (p = -inf) is
 minimized by weights directly proportional to the degrees, with optimal
-value 4s and an explicit top eigenvector of +-1/sqrt(s) entries. For any
-system of rank v-1 the determinant criterion (p = 0) is minimized by the
-uniform design.
+value 4s, an explicit top eigenvector of +-1/sqrt(s) entries and an exact
+dual, the 2-colouring's cut. For any system of rank v-1 the determinant
+criterion (p = 0) is minimized by the uniform design.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .contrasts import ComparisonGraph, ContrastSystem, classify, graph_system, rank_of
-from .criteria import CriterionValue, _evaluate, _Evaluation
+from .criteria import CertificateReport, CriterionValue, _dual_certificate, _evaluate, _Evaluation
 from .errors import NotBipartite, RankTooLow
 from .spectral import Design
 
@@ -30,6 +30,7 @@ class ClosedFormResult:
     evaluation: _Evaluation  # the design's one eigendecomposition of K(w)
     method: str  # a_general | e_bipartite | d_uniform
     eigvec: Optional[np.ndarray] = None
+    certificate: Optional[CertificateReport] = None  # e_bipartite's
 
 
 def a_optimal_weights(system: ContrastSystem) -> np.ndarray:
@@ -57,29 +58,25 @@ def e_optimal_bipartite(graph: ComparisonGraph) -> ClosedFormResult:
     """Largest-eigenvalue-criterion minimizer for a bipartite pairwise system.
 
     Weights are degree-proportional and the optimal value is 4s. The
-    returned eigvec attains the top eigenvalue of the covariance matrix (checked
-    as q^T ((q h) / w) = 4s h, without forming that s-by-s matrix); its
+    returned eigvec attains the top eigenvalue of the covariance matrix; its
     signs are propagated breadth-first from the lowest-index vertex of each
     component (seed +1), so the output is deterministic. Entries are
     +1/sqrt(s) on edges pointing from color 1 to color 0 and -1/sqrt(s)
     otherwise; flipping the -1 edges turns every vertex into a sink or a
-    source.
+    source. The certificate's dual is y y^T, y_i = +-1 the colouring, with
+    <G, y y^T> = 4s exactly: every comparison crosses the cut.
     """
     info = classify(graph)
     if info.bipartition is None:
         raise NotBipartite("graph has an odd cycle; the degree rule is not optimal off the bipartite class")
     degrees = np.asarray(graph.degrees, dtype=np.float64)
     design = Design(degrees / degrees.sum())
-    s = graph.s
-    sign = np.where(np.asarray(info.bipartition) == 0, 1.0, -1.0)
-    h = np.array([sign[b] for _, b in graph.edges]) / np.sqrt(s)
+    y = np.where(np.asarray(info.bipartition) == 0, 1.0, -1.0)
+    h = np.array([y[b] for _, b in graph.edges]) / np.sqrt(graph.s)
     system = graph_system(graph)
-    target = 4.0 * s
-    residual = system.q.T @ ((system.q @ h) / design.w) - target * h
-    if float(np.linalg.norm(residual)) > 1e-8 * target:
-        raise RuntimeError("degree-rule eigenvector failed its residual check")
     evaluation = _evaluate(system.gram, design.w, rank_of(system), -np.inf)
-    return ClosedFormResult(design, evaluation.criterion, evaluation, "e_bipartite", eigvec=h)
+    certificate = _dual_certificate(evaluation, y * (system.gram @ y))
+    return ClosedFormResult(design, evaluation.criterion, evaluation, "e_bipartite", eigvec=h, certificate=certificate)
 
 
 def d_optimal_uniform(system: ContrastSystem) -> ClosedFormResult:

@@ -25,8 +25,7 @@ coefficients.
 
 Pass p = -inf as ``float("-inf")``; its value is the largest eigenvalue,
 read by a distinct code path, never as a numerical limit of the finite-p
-formula. The optimizer reaches its minimizer through finite p (see
-``optimizer``).
+formula; its certificate reads a dual bound (``_dual_certificate``).
 """
 
 from __future__ import annotations
@@ -54,13 +53,12 @@ class CriterionValue:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Largest-eigenvalue optimality certificate.
+    """Largest-eigenvalue optimality certificate, read from the dual.
 
-    lhs_max is the worst value of the linear normality form, averaged over
-    the top eigenspace, over the vertex designs; rhs is the largest
-    covariance eigenvalue lambda_1. gap = lhs_max - rhs <= 0 certifies the
-    design's E-efficiency at least (mean top eigenvalue / lambda_1)^2,
-    which is at least (1 - 1e-8)^2.
+    lhs_max = <G, Y> for a correlation matrix Y bounds every design's
+    largest covariance eigenvalue from below; rhs is this design's. So
+    gap = rhs - lhs_max >= 0, and gap <= tol * rhs certifies E-efficiency
+    >= 1 / (1 + tol). witness_vertex maximizes u_i / w_i, u = diag(G Y).
     """
 
     lhs_max: float
@@ -160,24 +158,13 @@ class _Evaluation:
     def criterion(self) -> CriterionValue:
         return criterion_from_spectrum(self.spectrum, self.rank, self.p)
 
-    def certificate(self) -> CertificateReport:
-        """The E-certificate on the top eigenspace (see ``optimizer.e_certificate``).
 
-        The top eigenspace holds the m eigenvalues of K(w) within a relative
-        1e-8 of the largest, lambda_1. With u_j their unit eigenvectors,
-        q h_j = gram diag(w)^{-1/2} u_j / sqrt(lambda_j), and the vertex
-        form is t_i = mean_j ((q h_j)_i / w_i)^2; h_j's sign does not matter.
-        As sum_i w_i t_i is the mean top eigenvalue, lhs_max = max_i t_i <=
-        lambda_1 bounds the E-efficiency below by (mean / lambda_1)^2, at
-        least (1 - 1e-8)^2. At m = 1 this is the rank-one certificate.
-        """
-        top = float(self.values[0])
-        m = int(np.count_nonzero(top - self.values <= 1e-8 * max(top, 1e-300)))
-        qh = self.gram @ (self.vectors[:, :m] / np.sqrt(self.w)[:, None]) / np.sqrt(self.values[:m])
-        vertex_values = np.mean((qh / self.w[:, None]) ** 2, axis=1)
-        witness = int(np.argmax(vertex_values))
-        lhs_max = float(vertex_values[witness])
-        return CertificateReport(lhs_max=lhs_max, rhs=top, gap=lhs_max - top, witness_vertex=witness)
+def _dual_certificate(evaluation: _Evaluation, u: np.ndarray) -> CertificateReport:
+    """The E-certificate of ``evaluation``'s design from the allocation
+    u = diag(G Y) of a correlation matrix Y, whose total is <G, Y>."""
+    rhs, lhs_max = float(evaluation.values[0]), float(u.sum())
+    witness = int(np.argmax(u / evaluation.w))
+    return CertificateReport(lhs_max=lhs_max, rhs=rhs, gap=rhs - lhs_max, witness_vertex=witness)
 
 
 def _evaluate(

@@ -215,23 +215,25 @@ def rooted_forest_weight(graph: ComparisonGraph, design: Design, k: int) -> floa
     return _weight_total_from_alpha(graph, 1.0 / design.w, k)
 
 
-def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
-    """Elementary-symmetric coefficients c_0..c_n of a symmetric matrix.
+def char_poly_coeffs(m: np.ndarray, degree: int | None = None) -> np.ndarray:
+    """Elementary-symmetric coefficients c_0..c_degree of a symmetric matrix.
 
     Computed by the Faddeev-LeVerrier trace recurrence, so the result is
     independent of any eigenvalue solver. c_0 = 1 and c_k is the sum of all
-    k-fold products of eigenvalues; for a Laplacian c_n vanishes.
+    k-fold products of eigenvalues; for a Laplacian c_n vanishes. Nothing
+    past c_degree (default n, the order of m) is formed, so it cannot overflow.
     """
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[0]
-    signed = np.zeros(n + 1)
+    degree = n if degree is None else degree
+    signed = np.zeros(degree + 1)
     signed[0] = 1.0
     mk = np.zeros((n, n))
     eye = np.eye(n)
-    for k in range(1, n + 1):
+    for k in range(1, degree + 1):
         mk = m @ mk + signed[k - 1] * eye
         signed[k] = -np.trace(m @ mk) / k
-    signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    signs = np.where(np.arange(degree + 1) % 2 == 0, 1.0, -1.0)
     return signs * signed
 
 
@@ -345,8 +347,7 @@ def verify_d_identity(
     lap = weighted_gram(system.gram, design.w)  # first: it refuses a design of the wrong length
     rank, forest_total = _minor_total(system, design)
     psi_det = psi_p(system, design, 0.0, rank=rank).psi
-    coeffs = char_poly_coeffs(lap)
-    char_coefficient = float(coeffs[rank])
+    char_coefficient = float(char_poly_coeffs(lap, rank)[rank])
     values = (psi_det, forest_total, char_coefficient)
     max_rel = 0.0
     for a in values:

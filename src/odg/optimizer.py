@@ -1,33 +1,32 @@
 """Numerical criterion minimization over the open simplex.
 
-The workhorse is L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989) on the
-log-weights z, with the design w = softmax(z): the two-loop direction from
-the last ``PAIRS`` curvature pairs and an Armijo backtrack along it. It
-stops when the relative decrease of an accepted step falls below the
-tolerance, or when no decrease is left that the criterion value can
-resolve. All criteria handled here are convex in w, so the iteration
-converges to the global minimum. The nonsmooth largest-eigenvalue
-criterion (p = -inf) is the limit of 1/phi_p as p -> -inf, and is
-minimized by continuation in p: one descent per exponent of
-``E_EXPONENTS``, each from the last one's design. Each stage opens with
-the previous stage's curvature pairs, their gradient changes scaled by the
-ratio of the exponents: the power mean's curvature grows as -p. The result
-is read at p = -inf from the last iterate's eigendecomposition.
+At finite p (0 included) the workhorse is L-BFGS (Liu & Nocedal, Math.
+Prog. 45, 1989) on the log-weights z, with the design w = softmax(z): the
+two-loop direction from the last ``PAIRS`` curvature pairs and an Armijo
+backtrack along it. It stops when the relative decrease of an accepted
+step falls below the tolerance, or when no decrease is left that the
+criterion value can resolve. All criteria handled here are convex in w, so
+the iteration converges to the global minimum. Each iterate is one
+``criteria._evaluate``, one eigendecomposition of K(w); the last accepted
+one is the reported design, read without another.
 
-Each design, iterate or report, is one ``criteria._evaluate``: one
-eigendecomposition of K(w). The returned design is the last accepted
-iterate, read without another.
+The largest-eigenvalue criterion (p = -inf) is solved from its dual (see
+``_e_dual``). lambda_max(K(w)) <= tau exactly when G <= tau diag(w), so
+the E-optimum is E* = min{sum u : diag(u) >= G}, w* = u*/sum u*, whose
+dual max{<G, Y> : Y >= 0, diag Y = 1} is, on a comparison graph, the
+Goemans-Williamson max-cut relaxation (J. ACM 42, 1995). No iteration
+eigensolves: a numeric E-optimum costs two, G's and K(w)'s at the design.
 
 Everything is deterministic: fixed initialization, fixed sweep orders, no
 randomized restarts. The descent starts from the uniform design, or, for
-p < -1, from the trace-criterion optimum (closed form); there is no other
-starting point to choose.
+p < -1, from the trace-criterion optimum (closed form); the dual starts
+from the Gram matrix's top eigenvectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from ._kernels import grid_scan
 from .closed_form import a_optimal_weights
 from .contrasts import ContrastSystem, rank_of
-from .criteria import CertificateReport, CriterionValue, _evaluate, _Evaluation, validate_p
+from .criteria import CertificateReport, CriterionValue, _dual_certificate, _evaluate, _Evaluation, validate_p
 from .spectral import Design
 from .symmetry import OrbitReduction
 from .errors import NotConverged, TooLarge
@@ -45,15 +44,14 @@ GRID_STEP_RANGE = (1e-3, 0.1)
 FLOOR = 1e-9  # minimum weight kept strictly positive
 PAIRS = 10  # the curvature pairs the quasi-Newton descent keeps
 RESOLUTION = 4.0 * np.finfo(np.float64).eps  # smallest relative change of a criterion value taken as real
-# the exponents p = -inf is approached through: -10, then five times the
-# last -p per stage, ending at -1e9
-E_EXPONENTS = (*(-10.0 * 5.0**k for k in range(12)), -1e9)
+CHECK_EVERY = 25  # power iterations between two Cholesky proofs at p = -inf
+CERTIFICATE_TOL = 1e-12  # the relative gap ``e_certificate`` solves the dual to
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    tol: float = 1e-8          # stop when an accepted step's relative decrease falls below this
-    max_iter: int = 10000      # global iteration budget
+    tol: float = 1e-8          # relative decrease to stop at; at p = -inf, the relative gap to prove
+    max_iter: int = 10000      # iteration budget: descent steps, or power iterations at p = -inf
     orbits: Optional[OrbitReduction] = None
 
 
@@ -117,14 +115,13 @@ def _descend(current, tol, max_iter, averager, pairs):
     With no pair, and after a direction that is not a descent direction
     has dropped the pairs, the step is -grad / value, which at a
     stationary point predicts no resolvable decrease from the gradient's
-    rounding noise. ``pairs`` opens the descent, the last stage's on the
-    way to p = -inf. Returns (last accepted evaluation, iterations, converged,
-    curvature pairs). It converges when the relative decrease of an
-    accepted step falls below ``tol``, or when the decrease the line search
-    predicts, -lambda grad'd, falls below RESOLUTION times the criterion
-    value: no decrease is left to resolve. The value is in the eigenvalues'
-    units and the z-gradient is bounded by it, so nothing here overflows;
-    ``NotConverged`` means that K(w) itself is not finite.
+    rounding noise. ``pairs`` opens the descent. Returns (last accepted
+    evaluation, iterations, converged). It converges when the relative
+    decrease of an accepted step falls below ``tol``, or when the decrease
+    the line search predicts, -lambda grad'd, falls below RESOLUTION times
+    the criterion value: no decrease is left to resolve. The value is in
+    the eigenvalues' units and the z-gradient is bounded by it, so nothing
+    here overflows; ``NotConverged`` means that K(w) itself is not finite.
     """
     z = np.log(current.w)
     g = averager(current.gradient())
@@ -169,13 +166,59 @@ def _descend(current, tol, max_iter, averager, pairs):
         if (value - trial.value) / max(abs(value), 1e-300) < tol:
             converged = True
             break
-    return current, iterations, converged, pairs
+    return current, iterations, converged
 
 
 def _initial_point(system: ContrastSystem, p: float) -> np.ndarray:
     if p < -1.0:  # warm start: the trace-criterion optimum is closed form
         return a_optimal_weights(system)
     return np.full(system.v, 1.0 / system.v)
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with each row scaled to unit length; a zero row stays zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    return x / np.maximum(norms, np.finfo(np.float64).tiny)[:, None]
+
+
+def _e_dual(system: ContrastSystem, tol: float, max_iter: int, averager):
+    """The dual solved on Y = V V^T: V is v-by-k with unit rows,
+    k = min(v, ceil(sqrt(2v)) + 1) (Boumal, Voroninski & Bandeira, NeurIPS
+    2016), from G's top k eigenvectors (rows where they vanish from a fixed
+    cosine table). Each iteration is one product G V and the power step
+    rownormalise(G V) (Journee, Nesterov, Richtarik & Sepulchre, JMLR 11,
+    2010) with momentum (t - 1)/(t + 2), t counting from the last fall of
+    <G, V V^T> (O'Donoghue & Candes, Found. Comput. Math. 15, 2015). Every
+    ``CHECK_EVERY`` iterations and at the last, u = diag(G V V^T) (then
+    ``averager``) gives the bound L = sum u <= E* and w ~ max(u, FLOOR L);
+    a Cholesky factorisation of (1 + tol) L diag(w) - G proves, if it
+    succeeds, lambda_max(K(w)) <= (1 + tol) E*. Returns (u, w, iterations,
+    converged)."""
+    gram, v = system.gram, system.v
+    k = min(v, math.ceil(math.sqrt(2 * v)) + 1)
+    start = system.gram_eigen[1][:, :k]
+    vanish = np.einsum("ij,ij->i", start, start) <= np.finfo(np.float64).eps
+    table = np.cos(np.outer(np.arange(1, v + 1), np.arange(1, k + 1)))  # distinct rows, none zero
+    vectors = previous = _unit_rows(np.where(vanish[:, None], table, start))
+    iterations, t, last = 0, 0, -math.inf
+    while True:
+        product = gram @ vectors
+        iterations += 1
+        u = np.einsum("ij,ij->i", product, vectors)
+        lower = float(u.sum())
+        if iterations % CHECK_EVERY == 0 or iterations >= max_iter:
+            u = averager(u)
+            w = np.maximum(u, FLOOR * lower)
+            w /= w.sum()
+            try:
+                np.linalg.cholesky(np.diag((1.0 + tol) * lower * w) - gram)
+                return u, w, iterations, True
+            except np.linalg.LinAlgError:
+                if iterations >= max_iter:
+                    return u, w, iterations, False
+        t, last = 1 if lower < last else t + 1, lower
+        step = _unit_rows(product)
+        vectors, previous = _unit_rows(step + (t - 1) / (t + 2) * (step - previous)), step
 
 
 def optimize_phi_p(
@@ -185,68 +228,37 @@ def optimize_phi_p(
 ) -> OptimizationResult:
     """Minimize the criterion over the open simplex.
 
-    Finite p (including 0) is one stage: one L-BFGS descent (``_descend``)
-    on 1/phi_p. p = -inf is one stage per exponent of ``E_EXPONENTS``, each
-    descending 1/phi_p from the last stage's design and curvature pairs,
-    each pair's y times the ratio of the exponents and its 1/s'y divided
-    by it (5, and about 2.05 into -1e9). Each descent stops when the
-    relative decrease falls below ``opts.tol`` or when no decrease is left
-    to resolve. The result's criterion and certificate read the last
-    iterate's eigendecomposition at p.
-    ``converged`` reports whether the last stage stopped so within the
-    iteration budget; it certifies nothing at finite p.
+    Finite p (including 0) is one L-BFGS descent (``_descend``) on
+    1/phi_p, and ``converged`` certifies nothing. At p = -inf
+    (``_e_dual``) it says that lambda_max was proven within a relative
+    ``opts.tol`` of the dual bound, which the certificate reads.
     """
     p = validate_p(p)
     opts = opts or OptimizeOptions()
     rank = rank_of(system)
-    w = _initial_point(system, p)
-    averager = np.asarray  # no orbits: the gradient as it is
+    averager = np.asarray  # no orbits: the gradient and the dual allocation as they are
     if opts.orbits is not None:
         if len(opts.orbits.orbit_of) != system.v:
             raise ValueError("orbit reduction does not match the system size")
         averager = _orbit_average(opts.orbits)
-        w = averager(w)
-    final = _evaluate(system.gram, w, rank, p)
-    stages = E_EXPONENTS if p == -math.inf else (p,)
-    total_iterations = 0
-    pairs = []
-    for k, stage in enumerate(stages):
-        if k:  # the curvature of 1/phi_p grows as -p
-            ratio = stage / stages[k - 1]
-            pairs = [(s, ratio * y, rho / ratio) for s, y, rho in pairs]
-        # a stage left no iteration budget returns at once, unconverged
-        final, used, converged, pairs = _descend(
-            replace(final, p=stage), opts.tol, opts.max_iter - total_iterations, averager, pairs
-        )
-        total_iterations += used
-    final = replace(final, p=p)
-
-    return OptimizationResult(
-        design=Design(final.w),
-        criterion=final.criterion,
-        evaluation=final,
-        iterations=total_iterations,
-        converged=converged,
-        certificate=final.certificate() if p == -math.inf else None,
-    )
+    certificate = None
+    if p == -math.inf:
+        u, w, iterations, converged = _e_dual(system, opts.tol, opts.max_iter, averager)
+        final = _evaluate(system.gram, w, rank, p)
+        certificate = _dual_certificate(final, u)
+    else:
+        start = _evaluate(system.gram, averager(_initial_point(system, p)), rank, p)
+        final, iterations, converged = _descend(start, opts.tol, opts.max_iter, averager, [])
+    return OptimizationResult(Design(final.w), final.criterion, final, iterations, converged, certificate)
 
 
 def e_certificate(system: ContrastSystem, design: Design) -> CertificateReport:
-    """Normality certificate for the largest-eigenvalue criterion.
-
-    The equivalence theorem (Pukelsheim, *Optimal Design of Experiments*,
-    1993, ch. 7; Kiefer, Ann. Statist. 2, 1974) takes a matrix E on the top
-    eigenspace of the covariance matrix; here E is the average of h_j h_j^T
-    over its m unit eigenvectors h_j. With the generalized inverse taken as
-    diag(w)^{-1}, the normality form is linear in the competing design, so
-    its maximum over all feasible designs is attained at a vertex design:
-    lhs_max = max_i mean_j ((q h_j)_i / w_i)^2. When lhs_max does not
-    exceed the largest covariance eigenvalue lambda_1, the design's
-    E-efficiency is at least (mean top eigenvalue / lambda_1)^2 >=
-    (1 - 1e-8)^2. Everything is read from one eigendecomposition of K(w)
-    (see ``criteria._Evaluation.certificate``).
-    """
-    return _evaluate(system.gram, design.w, rank_of(system), -math.inf).certificate()
+    """Dual certificate for the largest-eigenvalue criterion at ``design``:
+    the dual of ``optimize_phi_p`` at p = -inf, solved to a relative
+    ``CERTIFICATE_TOL``, read at ``design``."""
+    evaluation = _evaluate(system.gram, design.w, rank_of(system), -math.inf)
+    u, _, _, _ = _e_dual(system, CERTIFICATE_TOL, OptimizeOptions.max_iter, np.asarray)
+    return _dual_certificate(evaluation, u)
 
 
 def grid_oracle(
