@@ -29,24 +29,10 @@ from .spectral import (
     pseudo_information_matrix,
     vertex_weighted_laplacian,
 )
-from .criteria import CriterionValue, criterion_from_spectrum, efficiency, psi_p, psi_p_via_laplacian, validate_p
-from .closed_form import ClosedFormResult, a_optimal, a_optimal_pairwise, d_optimal_uniform, e_optimal_bipartite
-from .symmetry import (
-    OrbitReduction,
-    Permutation,
-    check_invariance,
-    find_cyclic_invariance,
-    orbit_reduction,
-    permute_design,
-)
-from .forests import (
-    DIdentityReport,
-    RootedForest,
-    char_poly_coeffs,
-    rooted_forest_weight,
-    rooted_forests,
-    verify_d_identity,
-)
+from .criteria import CriterionValue, criterion_from_spectrum, psi_p, validate_p
+from .closed_form import a_optimal, d_optimal_uniform, e_optimal_bipartite
+from .symmetry import OrbitReduction, Permutation, check_invariance, find_cyclic_invariance, orbit_reduction
+from .forests import DIdentityReport, char_poly_coeffs, verify_d_identity
 from .optimizer import (
     CertificateReport,
     OptimizationResult,
@@ -61,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateReport",
-    "ClosedFormResult",
     "ComparisonGraph",
     "ContrastSystem",
     "CriterionValue",
@@ -72,10 +57,8 @@ __all__ = [
     "OptimizeOptions",
     "OrbitReduction",
     "Permutation",
-    "RootedForest",
     "Spectrum",
     "a_optimal",
-    "a_optimal_pairwise",
     "char_poly_coeffs",
     "check_invariance",
     "classify",
@@ -85,7 +68,6 @@ __all__ = [
     "detect_pairwise",
     "e_certificate",
     "e_optimal_bipartite",
-    "efficiency",
     "eigensystem_sym",
     "eigenvalues_sym",
     "errors",
@@ -97,13 +79,9 @@ __all__ = [
     "orbit_reduction",
     "parse_contrast_matrix",
     "parse_edge_list",
-    "permute_design",
     "pseudo_information_matrix",
     "psi_p",
-    "psi_p_via_laplacian",
     "rank_of",
-    "rooted_forest_weight",
-    "rooted_forests",
     "validate_p",
     "verify_d_identity",
     "vertex_weighted_laplacian",

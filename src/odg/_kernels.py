@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleDesign
+from .errors import InfeasibleDesign, TooLarge
 
 # Lattice designs evaluated in one batch; bounds the scan's memory.
 _SCAN_CHUNK = 4096
@@ -81,12 +81,18 @@ def _largest_root_bounds(m, r):
 
 
 def _lattice_criterion(f, p):
-    """psi(x, cap) at each row x = 1/w of a batch, for M(x) = F^T diag(x) F.
+    """(criterion, unit): psi(x)/unit at each row x = 1/w of a batch, for
+    M(x) = F^T diag(x) F, as criterion(x, cap).
 
     p = 0, -1 and -2 are polynomials in x whose coefficients are sums of
     non-negative terms: det M = sum over r-subsets S of det(F_S)^2 prod_S x_i
     (Cauchy-Binet), tr M = x . (row norms^2 of F) and
-    ||M||_F^2 = x^T ((F F^T) o (F F^T)) x. Other p eigensolve the r-by-r M.
+    ||M||_F^2 = x^T ((F F^T) o (F F^T)) x; their unit is 1. Other p
+    eigensolve the r-by-r M. At finite p the powers are taken of
+    lambda / t, t = tr(F F^T), and unit = t^-p: as sum_i 1/x_i = 1,
+    lambda_max(M) >= max_i |f_i|^2 x_i >= t, so the largest power is at
+    least 1 and the sum neither underflows nor loses its digits; it is +inf
+    only where psi itself leaves the float range by the factor t^-p.
 
     At p = -inf, ``cap`` is a value some lattice design reaches. A row whose
     lower bound on lambda_max (``_largest_root_bounds``) exceeds
@@ -95,29 +101,33 @@ def _lattice_criterion(f, p):
     ignore ``cap``.
     """
     v, r = f.shape
+    norms = np.einsum("ij,ij->i", f, f)
     if p == 0.0:
         subsets = np.array(list(combinations(range(v), r)), dtype=np.int64)
         minors = np.linalg.det(f[subsets]) ** 2
-        return lambda x, cap: np.prod(x[:, subsets], axis=2) @ minors
+        return (lambda x, cap: np.prod(x[:, subsets], axis=2) @ minors), 1.0
     if p == -1.0:
-        norms = np.einsum("ij,ij->i", f, f)
-        return lambda x, cap: x @ norms
+        return (lambda x, cap: x @ norms), 1.0
     if p == -2.0:
         hadamard = (f @ f.T) ** 2
-        return lambda x, cap: np.einsum("ij,ij->i", x @ hadamard, x)
+        return (lambda x, cap: np.einsum("ij,ij->i", x @ hadamard, x)), 1.0
     outer = (f[:, :, None] * f[:, None, :]).reshape(v, r * r)
+    trace = float(norms.sum())
+    with np.errstate(over="ignore"):
+        unit = 1.0 if p == -math.inf else float(np.float64(trace) ** -p)
 
     def spectral(x, cap):
         m = x @ outer
         if p != -math.inf:
-            return np.sum(np.linalg.eigvalsh(m.reshape(-1, r, r)) ** -p, axis=1)
+            with np.errstate(over="ignore"):
+                return np.sum((np.linalg.eigvalsh(m.reshape(-1, r, r)) / trace) ** -p, axis=1)
         lower, upper = _largest_root_bounds(m, r)
         keep = lower <= min(cap, upper.min()) * (1.0 + _PRUNE_RTOL)
         top = np.full(len(x), np.inf)
         top[keep] = np.linalg.eigvalsh(m[keep].reshape(-1, r, r))[:, -1]
         return top
 
-    return spectral
+    return spectral, unit
 
 
 def _lattice_chunks(n, v):
@@ -180,11 +190,14 @@ def grid_scan(b, r, n, v, p):
     is bounded by the chunk however fine the lattice. Returns the
     value and counts of the lexicographically earliest point whose value
     lies within a relative 1e-12 of the minimum, so points tied in exact
-    arithmetic resolve the same way however their values are rounded.
+    arithmetic resolve the same way however their values are rounded. The
+    values are compared in the criterion's unit, so psi may overflow (inf
+    is returned) where the comparison does not; ``TooLarge`` says that the
+    scaled value left the float range at every design.
     """
     vals, vecs = eigh_sym(b)
     f = vecs[:, :r] * np.sqrt(vals[:r])
-    criterion = _lattice_criterion(f, p)
+    criterion, unit = _lattice_criterion(f, p)
     cap = np.inf
     if p == -math.inf:
         uniform = np.full(v, n // v)
@@ -200,4 +213,6 @@ def grid_scan(b, r, n, v, p):
             i = int(np.argmax(psi <= low * (1.0 + _TIE_RTOL)))
             best = float(psi[i])
             best_counts = counts[i]
-    return best, best_counts
+    if best == math.inf:
+        raise TooLarge(f"the criterion at p={p} exceeds the float range at every lattice design")
+    return best * unit, best_counts

@@ -210,7 +210,6 @@ def _closed_form_for(system: ContrastSystem, graph: ComparisonGraph | None, p: f
 
 def _cmd_optimize(args) -> tuple[dict, int]:
     system, graph = _load_system(args.q)
-    exit_code = 0
     orbits = None
     if args.perm is not None:
         perm = _parse_perm_arg(args.perm, system.v)
@@ -219,20 +218,13 @@ def _cmd_optimize(args) -> tuple[dict, int]:
         except NotInvariant as exc:
             raise _ExitWith(5, f"permutation rejected: {exc}") from None
 
-    closed = _closed_form_for(system, graph, args.p) if args.method in ("closed", "auto") else None
-    if closed is None and args.method == "closed":
+    result = _closed_form_for(system, graph, args.p) if args.method in ("closed", "auto") else None
+    if result is None and args.method == "closed":
         raise _ExitWith(2, f"no closed form applies for p={_format_p(args.p)} on this system")
-
-    if closed is not None:
-        result, method, iterations, converged = closed, closed.method, 0, True
-    else:
-        method = "numeric"
-        opts = OptimizeOptions(tol=args.tol, max_iter=args.max_iter, orbits=orbits)
-        result = optimize_phi_p(system, args.p, opts)
-        iterations, converged = result.iterations, result.converged
-        if not converged:
-            exit_code = 4
-            print("warning: optimizer did not converge within its budget", file=sys.stderr)
+    if result is None:
+        result = optimize_phi_p(system, args.p, OptimizeOptions(tol=args.tol, max_iter=args.max_iter, orbits=orbits))
+    if not result.converged:
+        print("warning: optimizer did not converge within its budget", file=sys.stderr)
 
     doc = _report(
         "optimize",
@@ -249,9 +241,9 @@ def _cmd_optimize(args) -> tuple[dict, int]:
         criterion=_criterion_doc(result.criterion),
         spectrum=_spectrum_doc(result.evaluation.spectrum, result.evaluation.rank, system.s),
         certificate=_certificate_doc(result.certificate) if result.certificate else None,
-        optimizer={"method": method, "iterations": iterations, "converged": converged},
+        optimizer={"method": result.method, "iterations": result.iterations, "converged": result.converged},
     )
-    return doc, exit_code
+    return doc, 0 if result.converged else 4
 
 
 def _cmd_symmetry(args) -> tuple[dict, int]:
@@ -330,14 +322,12 @@ def _cmd_oracle(args) -> tuple[dict, int]:
             raise _ExitWith(2, "grid mode requires --p")
         design = grid_oracle(system, args.p, args.grid_step)
         value = psi_p(system, design, args.p)
-        reference = _closed_form_for(system, graph, args.p)
-        method = "numeric" if reference is None else reference.method
-        reference = reference or optimize_phi_p(system, args.p)
+        reference = _closed_form_for(system, graph, args.p) or optimize_phi_p(system, args.p)
         oracle = {
             "mode": "grid",
             "step": args.grid_step,
             "psi": value.psi,
-            "reference_method": method,
+            "reference_method": reference.method,
             "reference_design": [float(x) for x in reference.design.w],
             "reference_psi": reference.criterion.psi,
             "max_coord_dev": float(np.abs(design.w - reference.design.w).max()),

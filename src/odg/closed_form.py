@@ -12,25 +12,12 @@ criterion (p = 0) is minimized by the uniform design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .contrasts import ComparisonGraph, ContrastSystem, classify, graph_system, rank_of
-from .criteria import CertificateReport, CriterionValue, _dual_certificate, _evaluate, _Evaluation
+from .criteria import OptimizationResult, _dual_certificate, _evaluate
 from .errors import NotBipartite, RankTooLow
 from .spectral import Design
-
-
-@dataclass(frozen=True, eq=False)
-class ClosedFormResult:
-    design: Design
-    criterion: CriterionValue
-    evaluation: _Evaluation  # the design's one eigendecomposition of K(w)
-    method: str  # a_general | e_bipartite | d_uniform
-    eigvec: Optional[np.ndarray] = None
-    certificate: Optional[CertificateReport] = None  # e_bipartite's
 
 
 def a_optimal_weights(system: ContrastSystem) -> np.ndarray:
@@ -39,22 +26,17 @@ def a_optimal_weights(system: ContrastSystem) -> np.ndarray:
     return norms / norms.sum()
 
 
-def a_optimal(system: ContrastSystem) -> ClosedFormResult:
+def a_optimal(system: ContrastSystem) -> OptimizationResult:
     """Minimizer of the trace criterion: weights proportional to row norms.
 
     This is the unique minimizer over the open simplex.
     """
     design = Design(a_optimal_weights(system))
     evaluation = _evaluate(system.gram, design.w, rank_of(system), -1.0)
-    return ClosedFormResult(design, evaluation.criterion, evaluation, "a_general")
+    return OptimizationResult(design, evaluation.criterion, evaluation, "a_general")
 
 
-def a_optimal_pairwise(graph: ComparisonGraph) -> ClosedFormResult:
-    """``a_optimal`` of the graph's system: w_i proportional to sqrt(degree_i)."""
-    return a_optimal(graph_system(graph))
-
-
-def e_optimal_bipartite(graph: ComparisonGraph) -> ClosedFormResult:
+def e_optimal_bipartite(graph: ComparisonGraph) -> OptimizationResult:
     """Largest-eigenvalue-criterion minimizer for a bipartite pairwise system.
 
     Weights are degree-proportional and the optimal value is 4s. The
@@ -76,10 +58,12 @@ def e_optimal_bipartite(graph: ComparisonGraph) -> ClosedFormResult:
     system = graph_system(graph)
     evaluation = _evaluate(system.gram, design.w, rank_of(system), -np.inf)
     certificate = _dual_certificate(evaluation, y * (system.gram @ y))
-    return ClosedFormResult(design, evaluation.criterion, evaluation, "e_bipartite", eigvec=h, certificate=certificate)
+    return OptimizationResult(
+        design, evaluation.criterion, evaluation, "e_bipartite", certificate=certificate, eigvec=h
+    )
 
 
-def d_optimal_uniform(system: ContrastSystem) -> ClosedFormResult:
+def d_optimal_uniform(system: ContrastSystem) -> OptimizationResult:
     """Uniform design, optimal for the determinant criterion at rank v-1.
 
     Systems of lower rank give RankTooLow: the uniform design carries no
@@ -91,4 +75,4 @@ def d_optimal_uniform(system: ContrastSystem) -> ClosedFormResult:
         raise RankTooLow(f"rank {rank} < v-1 = {system.v - 1}; uniform optimality is not guaranteed")
     design = Design.uniform(system.v)
     evaluation = _evaluate(system.gram, design.w, rank, 0.0)
-    return ClosedFormResult(design, evaluation.criterion, evaluation, "d_uniform")
+    return OptimizationResult(design, evaluation.criterion, evaluation, "d_uniform")

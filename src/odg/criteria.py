@@ -33,12 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from ._config import RANK_TOL
 from ._kernels import eigh_sym, weighted_gram
-from .contrasts import ComparisonGraph, ContrastSystem, graph_system, rank_of
+from .contrasts import ContrastSystem, rank_of
 from .spectral import Design, Spectrum, spectrum_of
 from .errors import NonPositiveEigenvalue
 
@@ -65,6 +66,27 @@ class CertificateReport:
     rhs: float
     gap: float
     witness_vertex: int
+
+
+@dataclass(frozen=True, eq=False)
+class OptimizationResult:
+    """An optimal design and how it was reached.
+
+    ``method`` is "numeric" for ``optimizer.optimize_phi_p``, whose
+    ``iterations`` and ``converged`` report its run, or the closed form's
+    name (a_general | e_bipartite | d_uniform), which takes no iterations
+    and is exact. ``certificate`` is the p = -inf dual, and ``eigvec`` the
+    top covariance eigenvector that ``e_bipartite`` writes down.
+    """
+
+    design: Design
+    criterion: CriterionValue
+    evaluation: _Evaluation  # the design's one eigendecomposition of K(w)
+    method: str
+    iterations: int = 0
+    converged: bool = True
+    certificate: Optional[CertificateReport] = None
+    eigvec: Optional[np.ndarray] = None
 
 
 def validate_p(p: float) -> float:
@@ -105,7 +127,7 @@ def criterion_from_spectrum(spectrum: Spectrum, rank: int, p: float) -> Criterio
     p = validate_p(p)
     if not 1 <= rank <= spectrum.values.size:
         raise ValueError(f"rank {rank} out of range for spectrum of length {spectrum.values.size}")
-    top = spectrum.top(rank)
+    top = spectrum.values[:rank]
     if np.any(top <= spectrum.tol):
         raise NonPositiveEigenvalue(
             f"eigenvalue {float(top.min())!r} among the {rank} largest is not above {float(spectrum.tol)!r}"
@@ -197,26 +219,3 @@ def psi_p(
     if rank is None:
         rank = rank_of(system)
     return _evaluate(system.gram, design.w, rank, p).criterion
-
-
-def psi_p_via_laplacian(
-    graph: ComparisonGraph,
-    design: Design,
-    p: float,
-    rank: int | None = None,
-) -> CriterionValue:
-    """``psi_p`` of the graph's system, whose K(w) is the vertex-weighted Laplacian."""
-    return psi_p(graph_system(graph), design, p, rank=rank)
-
-
-def efficiency(
-    system: ContrastSystem,
-    design: Design,
-    reference: Design,
-    p: float,
-) -> float:
-    """phi_p(design) / phi_p(reference); equals 1 when the designs coincide."""
-    rank = rank_of(system)
-    num = psi_p(system, design, p, rank=rank)
-    den = psi_p(system, reference, p, rank=rank)
-    return num.phi / den.phi

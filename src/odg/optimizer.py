@@ -34,7 +34,7 @@ import numpy as np
 from ._kernels import grid_scan
 from .closed_form import a_optimal_weights
 from .contrasts import ContrastSystem, rank_of
-from .criteria import CertificateReport, CriterionValue, _dual_certificate, _evaluate, _Evaluation, validate_p
+from .criteria import CertificateReport, OptimizationResult, _dual_certificate, _evaluate, validate_p
 from .spectral import Design
 from .symmetry import OrbitReduction
 from .errors import NotConverged, TooLarge
@@ -53,16 +53,6 @@ class OptimizeOptions:
     tol: float = 1e-8          # relative decrease to stop at; at p = -inf, the relative gap to prove
     max_iter: int = 10000      # iteration budget: descent steps, or power iterations at p = -inf
     orbits: Optional[OrbitReduction] = None
-
-
-@dataclass(frozen=True, eq=False)
-class OptimizationResult:
-    design: Design
-    criterion: CriterionValue
-    evaluation: _Evaluation  # the design's one eigendecomposition of K(w)
-    iterations: int
-    converged: bool
-    certificate: Optional[CertificateReport] = None
 
 
 def _orbit_average(orbits: OrbitReduction) -> Callable:
@@ -249,7 +239,7 @@ def optimize_phi_p(
     else:
         start = _evaluate(system.gram, averager(_initial_point(system, p)), rank, p)
         final, iterations, converged = _descend(start, opts.tol, opts.max_iter, averager, [])
-    return OptimizationResult(Design(final.w), final.criterion, final, iterations, converged, certificate)
+    return OptimizationResult(Design(final.w), final.criterion, final, "numeric", iterations, converged, certificate)
 
 
 def e_certificate(system: ContrastSystem, design: Design) -> CertificateReport:

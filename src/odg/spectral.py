@@ -55,21 +55,9 @@ class Design:
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
-    @property
-    def v(self) -> int:
-        return self.w.size
-
     @classmethod
     def uniform(cls, v: int) -> "Design":
         return cls(np.full(v, 1.0 / v))
-
-    @classmethod
-    def normalized(cls, w) -> "Design":
-        """Rescale a positive vector to sum to one."""
-        w = np.asarray(w, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise InfeasibleDesign("all weights must be strictly positive")
-        return cls(w / w.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +73,6 @@ class Spectrum:
             raise ValueError("spectrum values must be nonincreasing")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def positive_count(self) -> int:
-        return int(np.count_nonzero(self.values > self.tol))
-
-    def top(self, r: int) -> np.ndarray:
-        return self.values[:r]
 
 
 def covariance_matrix(system: ContrastSystem, design: Design) -> np.ndarray:

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contrasts import ContrastSystem
-from .spectral import Design
 from .errors import NotInvariant, TooLarge
 
-INVARIANCE_TOL = 1e-10
+INVARIANCE_TOL = 1e-10  # relative to the Gram matrix's largest entry, so a rescaled q agrees
 CYCLIC_SEARCH_LIMIT = 9
 
 
@@ -59,10 +58,6 @@ class Permutation:
         return len(self.cycles) == 1
 
     @classmethod
-    def identity(cls, v: int) -> "Permutation":
-        return cls(tuple(range(v)))
-
-    @classmethod
     def from_cycle(cls, order) -> "Permutation":
         """Single cycle visiting all of 0..v-1 in the given order."""
         order = [int(x) for x in order]
@@ -80,9 +75,6 @@ class Permutation:
             raise ValueError(f"permutation {text!r} must be whitespace-separated integers") from None
         return cls(tuple(x - 1 for x in images))
 
-    def one_line(self) -> str:
-        return " ".join(str(x + 1) for x in self.mapping)
-
 
 @dataclass(frozen=True)
 class OrbitReduction:
@@ -93,30 +85,23 @@ class OrbitReduction:
 
 
 def check_invariance(system: ContrastSystem, perm: Permutation) -> bool:
-    """Whether conjugating q q^T by the permutation reproduces it entrywise."""
+    """Whether conjugating q q^T by the permutation reproduces it entrywise,
+    to within ``INVARIANCE_TOL`` times its largest entry."""
     if perm.v != system.v:
         raise ValueError(f"permutation on {perm.v} elements for a system with v={system.v}")
     gram = system.gram
     m = np.asarray(perm.mapping)
     conj = np.empty_like(gram)
     conj[np.ix_(m, m)] = gram
-    return bool(np.abs(conj - gram).max() <= INVARIANCE_TOL)
-
-
-def permute_design(design: Design, perm: Permutation) -> Design:
-    """Relabel weights: the new weight of pi(i) is the old weight of i."""
-    if perm.v != design.v:
-        raise ValueError(f"permutation on {perm.v} elements for a design with v={design.v}")
-    w = np.empty_like(design.w)
-    w[np.asarray(perm.mapping)] = design.w
-    return Design(w)
+    return bool(np.abs(conj - gram).max() <= INVARIANCE_TOL * np.abs(gram).max())
 
 
 def find_cyclic_invariance(system: ContrastSystem, max_v: int = CYCLIC_SEARCH_LIMIT):
     """Search all single-cycle permutations for one leaving q q^T invariant.
 
     Exhaustive backtracking over the (v-1)! cycles through vertex 0, pruned
-    by incremental entry checks; vertices are tried in increasing order so
+    by incremental entry checks at ``check_invariance``'s relative
+    tolerance; vertices are tried in increasing order so
     the first hit is deterministic. Returns None when no such permutation
     exists. Rejects v > max_v outright: beyond that the caller must supply a
     permutation to test.
@@ -125,13 +110,15 @@ def find_cyclic_invariance(system: ContrastSystem, max_v: int = CYCLIC_SEARCH_LI
     if v > max_v:
         raise TooLarge(f"exhaustive cyclic search is limited to v <= {max_v}, got v={v}")
     gram = system.gram
+    scale = float(np.abs(gram).max())
+    tol = INVARIANCE_TOL * scale
     # necessary condition: every vertex must look alike (same diagonal entry,
     # same multiset of row entries)
     diag = np.diag(gram)
-    if np.abs(diag - diag[0]).max() > 1e-8:
+    if np.abs(diag - diag[0]).max() > 1e-8 * scale:
         return None
     rows = np.sort(gram, axis=1)
-    if np.abs(rows - rows[0]).max() > 1e-8:
+    if np.abs(rows - rows[0]).max() > 1e-8 * scale:
         return None
 
     cycle = [0]
@@ -140,10 +127,10 @@ def find_cyclic_invariance(system: ContrastSystem, max_v: int = CYCLIC_SEARCH_LI
 
     def consistent(prev: int, nxt: int) -> bool:
         # mapping prev -> nxt joins the known pairs (cycle[t] -> cycle[t+1])
-        if abs(gram[nxt, nxt] - gram[prev, prev]) > INVARIANCE_TOL:
+        if abs(gram[nxt, nxt] - gram[prev, prev]) > tol:
             return False
         for t in range(len(cycle) - 1):
-            if abs(gram[nxt, cycle[t + 1]] - gram[prev, cycle[t]]) > INVARIANCE_TOL:
+            if abs(gram[nxt, cycle[t + 1]] - gram[prev, cycle[t]]) > tol:
                 return False
         return True
 

@@ -15,7 +15,6 @@ import instances
 from odg import (
     Design,
     a_optimal,
-    a_optimal_pairwise,
     covariance_matrix,
     d_optimal_uniform,
     detect_pairwise,
@@ -171,7 +170,7 @@ def test_criterion_9_grid_oracle_agreement():
     for graph in (path, star):
         system = graph_system(graph)
         cases.append((system, 0.0, d_optimal_uniform(system).design))
-        cases.append((system, -1.0, a_optimal_pairwise(graph).design))
+        cases.append((system, -1.0, a_optimal(system).design))
         cases.append((system, NEG_INF, e_optimal_bipartite(graph).design))
     paw_system = graph_system(paw)
     cases.append((paw_system, 0.0, d_optimal_uniform(paw_system).design))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import instances
-from odg import Design, psi_p
+from odg import Design, graph_system, psi_p
 from odg.cli import main
 
 NEG_INF = float("-inf")
@@ -42,6 +42,12 @@ def run_cli(capsys, *argv):
 
 def _refuse_constant(name):
     raise ValueError(f"not strict JSON: {name}")
+
+
+def write_matrix(tmp_path, name, q):
+    path = tmp_path / name
+    path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in q) + "\n")
+    return str(path)
 
 
 def write_weights(tmp_path, name, values):
@@ -179,6 +185,12 @@ class TestOptimize:
     def test_non_invariant_permutation_exits_5(self, tree7_csv, capsys):
         code, _, _ = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", "-2", "--perm", "2 3 4 5 6 7 1")
         assert code == 5
+
+    def test_non_invariant_permutation_at_small_scale_exits_5(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "paw.csv", 1e-6 * graph_system(instances.paw_graph()).q)
+        code, doc, err = run_cli(capsys, "optimize", "--q", path, "--p", "-0.5", "--perm", "2 1 3 4")
+        assert code == 5 and doc is None
+        assert "permutation rejected" in err
 
     def test_orbit_reduced_numeric(self, tmp_path, capsys):
         q = tmp_path / "mc.csv"
@@ -353,6 +365,20 @@ class TestSymmetry:
         assert doc["symmetry"]["cyclic"] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 1]
 
 
+    def test_paw_at_any_scale(self, tmp_path, capsys):
+        # written at scale 1e-6 the paw's q q^T is below 1e-10 entrywise;
+        # rotated and written at scale 1e3 it carries rounding of about 1e-9
+        paw = graph_system(instances.paw_graph()).q
+        rotation, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+        cases = [(1e-6 * paw, "2 1 3 4", False), (1e3 * paw @ rotation, "1 3 2 4", True)]
+        for k, (q, perm, invariant) in enumerate(cases):
+            path = write_matrix(tmp_path, f"paw{k}.csv", q)
+            code, doc, _ = run_cli(capsys, "symmetry", "--q", path, "--perm", perm)
+            assert code == 0
+            assert doc["symmetry"]["perm_invariant"] is invariant
+            assert doc["symmetry"]["cyclic"] is None
+
+
 class TestOracle:
     def test_kappa_path(self, tmp_path, paw_edges, capsys):
         q = tmp_path / "path.csv"
@@ -381,6 +407,25 @@ class TestOracle:
         optimum = np.array([1 / 2, 1 / 6, 1 / 6, 1 / 6])
         assert np.abs(np.array(doc["design"]) - optimum).max() <= 0.01 + 1e-12
         assert np.abs(np.array(doc["oracle"]["reference_design"]) - optimum).max() <= 1e-6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_overflowing_criterion_exits_4(self, paw_edges, capsys):
+        # psi at p = -300 exceeds the float range at every lattice design;
+        # the scan still finds its minimizer, and the report refuses psi
+        code, doc, err = run_cli(
+            capsys, "oracle", "--q", paw_edges, "--mode", "grid", "--p", "-300", "--grid-step", "0.05"
+        )
+        assert code == 4 and doc is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: psi at p=-300.0")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_criterion_past_the_float_range_exits_7(self, paw_edges, capsys):
+        code, doc, err = run_cli(
+            capsys, "oracle", "--q", paw_edges, "--mode", "grid", "--p", "-2000", "--grid-step", "0.05"
+        )
+        assert code == 7 and doc is None
+        assert "exceeds the float range at every lattice design" in err
 
     def test_grid_too_large_exits_7(self, tmp_path, capsys):
         q = tmp_path / "k5.csv"

@@ -8,7 +8,6 @@ from odg import (
     ComparisonGraph,
     Design,
     a_optimal,
-    a_optimal_pairwise,
     classify,
     d_optimal_uniform,
     detect_pairwise,
@@ -44,19 +43,19 @@ class TestAOptimal:
         assert result.method == "a_general"
 
     def test_pairwise_rule_identical(self, tree7, rng):
+        # on a comparison graph the row norms are the square-rooted degrees
         graph = detect_pairwise(tree7)
-        assert np.array_equal(a_optimal_pairwise(graph).design.w, a_optimal(tree7).design.w)
+        assert np.array_equal(a_optimal(graph_system(graph)).design.w, a_optimal(tree7).design.w)
         for _ in range(20):
             g = instances.random_pairwise_graph(rng, 7)
-            assert np.array_equal(
-                a_optimal_pairwise(g).design.w, a_optimal(graph_system(g)).design.w
-            )
+            roots = np.sqrt(np.array(g.degrees, dtype=np.float64))
+            assert np.array_equal(a_optimal(graph_system(g)).design.w, roots / roots.sum())
 
     def test_path_and_star_proportions(self):
-        path = a_optimal_pairwise(instances.path3_graph())
+        path = a_optimal(graph_system(instances.path3_graph()))
         denom = 2.0 + math.sqrt(2.0)
         assert np.allclose(path.design.w, [1 / denom, math.sqrt(2) / denom, 1 / denom], atol=1e-15)
-        star = a_optimal_pairwise(instances.star4_graph())
+        star = a_optimal(graph_system(instances.star4_graph()))
         denom = math.sqrt(3.0) + 3.0
         assert np.allclose(star.design.w, [math.sqrt(3) / denom, 1 / denom, 1 / denom, 1 / denom])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import instances
+from forest_oracle import rooted_forest_weight, rooted_forests, weight_total_from_alpha
 from odg import (
     ComparisonGraph,
     Design,
@@ -11,12 +12,10 @@ from odg import (
     detect_pairwise,
     eigenvalues_sym,
     graph_system,
-    rooted_forest_weight,
-    rooted_forests,
     verify_d_identity,
     vertex_weighted_laplacian,
 )
-from odg.forests import MINOR_LIMIT, MINOR_V_LIMIT, _weight_total_from_alpha
+from odg.forests import MINOR_LIMIT, MINOR_V_LIMIT
 from odg.errors import PreconditionViolated, TooLarge
 
 
@@ -71,8 +70,8 @@ class TestForestWeights:
         alpha = rng.random(4) + 0.5
         t = 2.5
         for k in (1, 2, 3):
-            base = _weight_total_from_alpha(graph, alpha, k)
-            scaled = _weight_total_from_alpha(graph, t * alpha, k)
+            base = weight_total_from_alpha(graph, alpha, k)
+            scaled = weight_total_from_alpha(graph, t * alpha, k)
             assert math.isclose(scaled, t ** (4 - k) * base, rel_tol=1e-12)
 
     def test_bounds(self):

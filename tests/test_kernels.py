@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import instances
 from odg import ComparisonGraph, Design, graph_system, psi_p, rank_of
 from odg import _kernels as kernels
+from odg.errors import TooLarge
 
 NEG_INF = float("-inf")
 
@@ -56,6 +57,29 @@ def test_grid_scan_matches_direct_evaluation(name, system, p):
     # ties resolve to the lexicographically earliest point
     earlier = [psi for c, psi in values.items() if c < tuple(counts.tolist())]
     assert all(psi > lowest * (1.0 + 1e-12) for psi in earlier)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [-300.0, -1000.0])
+def test_grid_scan_past_the_float_range(p):
+    # psi overflows at every design; phi, its power mean, does not, and the
+    # scan keeps the earliest design of the largest phi
+    system = graph_system(instances.paw_graph())
+    n = 20
+    value, counts = kernels.grid_scan(system.gram, 3, n, 4, p)
+    assert value == math.inf
+    lattice = [c for c in itertools.product(range(1, n), repeat=4) if sum(c) == n]
+    phis = {c: psi_p(system, Design(np.array(c) / n), p).phi for c in lattice}
+    best = max(phis.values())
+    assert phis[tuple(counts.tolist())] >= best * (1.0 - 1e-14)
+    assert all(phi < best * (1.0 - 1e-14) for c, phi in phis.items() if c < tuple(counts.tolist()))
+
+
+def test_grid_scan_refuses_a_criterion_past_the_float_range_everywhere():
+    # every paw design has lambda_max >= 1.6 tr(q q^T), and 1.6^2000 is past the float range
+    system = graph_system(instances.paw_graph())
+    with pytest.raises(TooLarge, match="every lattice design"):
+        kernels.grid_scan(system.gram, 3, 20, 4, -2000.0)
 
 
 @pytest.mark.parametrize("chunk", [5, 37])

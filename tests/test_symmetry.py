@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import instances
 from odg import (
+    ContrastSystem,
     Design,
     OptimizeOptions,
     check_invariance,
@@ -13,7 +16,6 @@ from odg import (
     graph_system,
     optimize_phi_p,
     orbit_reduction,
-    permute_design,
     psi_p,
     vertex_weighted_laplacian,
 )
@@ -30,7 +32,6 @@ class TestPermutation:
         assert perm.mapping == (1, 0, 2)
         assert perm.cycles == ((0, 1), (2,))
         assert not perm.is_cyclic
-        assert perm.one_line() == "2 1 3"
 
     def test_cycle_constructor(self):
         perm = Permutation.from_cycle([0, 2, 1])
@@ -44,13 +45,6 @@ class TestPermutation:
             Permutation.from_one_line("1 2 4")
         with pytest.raises(ValueError):
             Permutation.from_one_line("1 2 x")
-
-    def test_permute_design(self):
-        identity = Permutation.identity(3)
-        w = Design(np.array([0.5, 0.3, 0.2]))
-        assert np.array_equal(permute_design(w, identity).w, w.w)
-        shift = Permutation.from_cycle([0, 1, 2])
-        assert np.allclose(permute_design(w, shift).w, [0.2, 0.5, 0.3])
 
 
 class TestInvariance:
@@ -80,9 +74,57 @@ class TestInvariance:
             mat[j, i] = 1.0
         for _ in range(10):
             w = instances.random_design(rng, 5)
-            lhs = vertex_weighted_laplacian(graph, permute_design(w, perm))
+            lhs = vertex_weighted_laplacian(graph, Design(w.w[np.argsort(perm.mapping)]))
             rhs = mat @ vertex_weighted_laplacian(graph, w) @ mat.T
             assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def _rotated_paw(scale: float) -> ContrastSystem:
+    # q R for an orthogonal R leaves q q^T as it is, up to rounding at q's scale
+    rotation, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    return ContrastSystem(scale * graph_system(instances.paw_graph()).q @ rotation)
+
+
+class TestInvarianceScale:
+    """The tolerance is relative to the Gram matrix's largest entry."""
+
+    def test_small_scale_refuses_a_non_automorphism(self):
+        # every entry of the paw's q q^T at scale 1e-6 is below 1e-10
+        system = ContrastSystem(1e-6 * graph_system(instances.paw_graph()).q)
+        assert not check_invariance(system, Permutation.from_one_line("2 1 3 4"))
+        assert find_cyclic_invariance(system) is None
+        with pytest.raises(NotInvariant):
+            orbit_reduction(system, Permutation.from_one_line("2 1 3 4"))
+
+    def test_rounding_at_a_large_scale_keeps_an_automorphism(self):
+        # at scale 1e3 the rotation's rounding error in q q^T is about 1e-9
+        system = _rotated_paw(1e3)
+        assert check_invariance(system, Permutation.from_one_line("1 3 2 4"))
+        assert not check_invariance(system, Permutation.from_one_line("2 1 3 4"))
+
+    def test_cyclic_search_at_any_scale(self):
+        for scale in (1e-6, 1.0, 1e6):
+            found = find_cyclic_invariance(ContrastSystem(scale * instances.ring_system(5).q))
+            assert found is not None and found.is_cyclic
+            assert find_cyclic_invariance(_rotated_paw(scale)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["paw", "ring5", "two_groups2", "multi_control", "tree7"]),
+        order=st.permutations(range(4)),
+        c=st.floats(1e-6, 1e6),
+    )
+    def test_verdict_is_scale_invariant(self, name, order, c):
+        system = {
+            "paw": graph_system(instances.paw_graph()),
+            "ring5": instances.ring_system(5),
+            "two_groups2": instances.two_groups_system(2),
+            "multi_control": instances.multi_control_system(5, 2),
+            "tree7": instances.tree7_system(),
+        }[name]
+        perm = Permutation(tuple(order) + tuple(range(4, system.v)))
+        scaled = ContrastSystem(c * system.q)
+        assert check_invariance(scaled, perm) == check_invariance(system, perm)
 
 
 class TestCyclicSearch:
@@ -134,7 +176,7 @@ class TestOrbitReduction:
         assert reduction.orbit_count == 1
 
     def test_identity_no_reduction(self, tree7):
-        reduction = orbit_reduction(tree7, Permutation.identity(7))
+        reduction = orbit_reduction(tree7, Permutation(tuple(range(7))))
         assert reduction.orbit_count == 7
 
     def test_not_invariant_rejected(self, tree7):
