@@ -321,12 +321,12 @@ def _cmd_oracle(args) -> tuple[dict, int]:
         if args.p is None:
             raise _ExitWith(2, "grid mode requires --p")
         design = grid_oracle(system, args.p, args.grid_step)
-        value = psi_p(system, design, args.p)
+        criterion = _criterion_doc(psi_p(system, design, args.p))  # before the reference: it may exit 4
         reference = _closed_form_for(system, graph, args.p) or optimize_phi_p(system, args.p)
         oracle = {
             "mode": "grid",
             "step": args.grid_step,
-            "psi": value.psi,
+            "psi": criterion["psi"],
             "reference_method": reference.method,
             "reference_design": [float(x) for x in reference.design.w],
             "reference_psi": reference.criterion.psi,
@@ -336,7 +336,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
             "oracle",
             {"q": args.q, "mode": args.mode, "p": _format_p(args.p), "grid_step": args.grid_step},
             design=[float(x) for x in design.w],
-            criterion=_criterion_doc(value),
+            criterion=criterion,
             oracle=oracle,
         )
         return doc, 0

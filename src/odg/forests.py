@@ -7,8 +7,8 @@ sum_{|S|=r} det(G_SS) / prod_{i in S} w_i of the Gram matrix G = q q^T
 (Cauchy-Binet), and the coefficient c_r of K(w)'s characteristic
 polynomial (Faddeev-LeVerrier trace recurrence). ``verify_d_identity``
 compares both with the spectral psi_0; for an integer system the minor
-total is exact, its minors and r coming from Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968).
+total and r are exact, read off one integer polynomial by Bareiss's
+fraction-free elimination (Math. Comp. 22, 1968).
 
 On a graph the minor total is the total weight of rooted spanning forests
 with v - r roots (vertex weights 1/w): the paper's D-identity. The
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -36,9 +35,6 @@ from .errors import PreconditionViolated, TooLarge
 # graphs with 3v edges), so the report could no longer vouch for psi_0.
 # Designs far from uniform make it drift sooner, and ``passed`` says so.
 MINOR_V_LIMIT = 20
-# One Bareiss elimination per minor: at v = 20 the budget admits rank 16,
-# C(20, 16) = 4845 minors of about 16^3 / 3 integer updates each.
-MINOR_LIMIT = 5000
 
 
 def char_poly_coeffs(m: np.ndarray, degree: int | None = None) -> np.ndarray:
@@ -71,62 +67,64 @@ def _integers(m: np.ndarray) -> np.ndarray:
     return np.frompyfunc(int, 1, 1)(m)
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Rank and determinant of an integer matrix, by Bareiss's elimination.
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss's elimination.
 
     Every intermediate entry is a minor of the input (Sylvester's identity),
     so each division by the previous pivot is exact. A column with no
-    nonzero entry left below the pivots is skipped; the determinant is 0
-    unless the matrix is square and of full rank.
+    nonzero entry left on or below the diagonal makes the determinant 0.
     """
     a = [list(row) for row in rows]
-    n, m = len(a), len(a[0]) if a else 0
-    rank, sign, prev = 0, 1, 1
-    for col in range(m):
-        pivot = next((i for i in range(rank, n) if a[i][col]), None)
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
         if pivot is None:
-            continue
-        if pivot != rank:
-            a[rank], a[pivot] = a[pivot], a[rank]
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        top = a[rank]
-        p = top[col]
-        for row in a[rank + 1 :]:
-            f = row[col]
-            for j in range(col + 1, m):
+        top = a[k]
+        p = top[k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
                 row[j] = (p * row[j] - f * top[j]) // prev
         prev = p
-        rank += 1
-    return rank, sign * prev if rank == n == m else 0
+    return sign * prev
 
 
 def _minor_total(system: ContrastSystem, design: Design) -> tuple[int, float]:
     """Rank r of q and sum_{|S|=r} det(G_SS) / prod_{i in S} w_i, both exact.
 
-    With w_i = n_i / d_i read exactly from the float, the sum is one
-    integer, sum_S det(G_SS) prod_{i in S} d_i prod_{i not in S} n_i, over
-    prod_i n_i, rounded to float once.
+    With every float weight w_i = m_i / 2^e exactly, P(t) = det(diag(m) + t G)
+    has coefficients c_k = sum_{|S|=k} det(G_SS) prod_{i not in S} m_i >= 0
+    (G is positive semidefinite), so its degree is r and the total is
+    c_r 2^(e r) / prod_i m_i, rounded to float once. The r-th forward
+    difference of P(0), ..., P(v) is r! c_r, and every higher one is 0.
     """
     qi = _integers(system.q)
     v = system.v
     if v > MINOR_V_LIMIT:
         raise TooLarge(f"the exact minor total is limited to v <= {MINOR_V_LIMIT}, got v={v}")
     gram = (qi @ qi.T).tolist()
-    rank = _bareiss(gram)[0]
-    count = math.comb(v, rank)
-    if count > MINOR_LIMIT:
-        raise TooLarge(f"rank {rank} of v={v} needs {count} principal minors, more than {MINOR_LIMIT}")
     ratios = [w.as_integer_ratio() for w in design.w.tolist()]
-    numerator = 0
-    for subset in combinations(range(v), rank):
-        det = _bareiss([[gram[i][j] for j in subset] for i in subset])[1]
-        if det:
-            inside = set(subset)
-            for i, (num, den) in enumerate(ratios):
-                det *= den if i in inside else num
-            numerator += det
+    scale = max(den for _, den in ratios)  # 2^e: every denominator is a power of two
+    m = [num * (scale // den) for num, den in ratios]
+    denominator = math.prod(m)  # P(0)
+    values = [denominator]
+    for t in range(1, v + 1):
+        rows = [[t * g for g in row] for row in gram]
+        for i, mi in enumerate(m):
+            rows[i][i] += mi
+        values.append(_bareiss(rows))
+    rank, top = 0, denominator
+    for k in range(1, v + 1):
+        values = [b - a for a, b in zip(values, values[1:])]
+        if values[0]:
+            rank, top = k, values[0]
     try:
-        return rank, numerator / math.prod(num for num, _ in ratios)
+        return rank, top // math.factorial(rank) * scale**rank / denominator
     except OverflowError:
         raise TooLarge("the minor total exceeds the float range") from None
 
@@ -157,8 +155,8 @@ def verify_d_identity(
     deviations stay within ``tol``.
 
     Raises ``PreconditionViolated`` on non-integer coefficients and
-    ``TooLarge`` past ``MINOR_V_LIMIT`` treatments or ``MINOR_LIMIT`` minors,
-    or when the total overflows a float.
+    ``TooLarge`` past ``MINOR_V_LIMIT`` treatments or when the total
+    overflows a float.
     """
     if isinstance(system, ComparisonGraph):
         system = graph_system(system)

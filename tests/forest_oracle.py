@@ -1,11 +1,14 @@
-"""Rooted spanning forests, enumerated: the tests' oracle for the exact minor total.
+"""Brute-force references for the exact minor total: subsets and forests.
 
-On a graph the principal-minor total that ``odg.forests.verify_d_identity``
-computes by Bareiss's elimination is the total weight of rooted spanning
-forests with v - r roots (vertex weights 1/w), the paper's D-identity. This
-module counts those forests directly, with no matrix at all, so that the
-check stays independent of the code it checks. It is exponential and
-refuses graphs past ``ENUMERATION_LIMIT`` vertices.
+``odg.forests.verify_d_identity`` reads the principal-minor total
+sum_{|S|=r} det(G_SS) / prod_{i in S} w_i off one integer polynomial.
+``minor_total_by_subsets`` sums it the long way, one Bareiss elimination
+per r-subset. On a graph the total is also the total weight of rooted
+spanning forests with v - r roots (vertex weights 1/w), the paper's
+D-identity; the rest of this module counts those forests directly, with no
+matrix at all, so that the check stays independent of the code it checks.
+Both are exponential; the enumeration refuses graphs past
+``ENUMERATION_LIMIT`` vertices.
 
 A rooted spanning forest is an acyclic spanning subgraph whose edges are
 oriented toward a chosen set of roots, one root per component. Every
@@ -21,16 +24,41 @@ subset; no graph is rebuilt per subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterator
 
 import numpy as np
 
-from odg import ComparisonGraph, Design
+from odg import ComparisonGraph, ContrastSystem, Design
 from odg.errors import TooLarge
+from odg.forests import _bareiss, _integers
 
 ENUMERATION_LIMIT = 12
+
+
+def minor_total_by_subsets(system: ContrastSystem, design: Design) -> tuple[int, float]:
+    """Rank r of q and sum_{|S|=r} det(G_SS) / prod_{i in S} w_i, subset by subset.
+
+    r is numpy's SVD rank of q (the tests know the rank they built). With
+    w_i = n_i / d_i read exactly from the float, the sum is one integer,
+    sum_S det(G_SS) prod_{i in S} d_i prod_{i not in S} n_i, over
+    prod_i n_i, rounded to float once.
+    """
+    qi = _integers(system.q)
+    gram = (qi @ qi.T).tolist()
+    rank = int(np.linalg.matrix_rank(system.q))
+    ratios = [w.as_integer_ratio() for w in design.w.tolist()]
+    numerator = 0
+    for subset in combinations(range(system.v), rank):
+        det = _bareiss([[gram[i][j] for j in subset] for i in subset])
+        if det:
+            inside = set(subset)
+            for i, (num, den) in enumerate(ratios):
+                det *= den if i in inside else num
+            numerator += det
+    return rank, numerator / math.prod(num for num, _ in ratios)
 
 
 @dataclass(frozen=True)

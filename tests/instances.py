@@ -158,6 +158,16 @@ def random_integer_system(rng: np.random.Generator, v: int, s: int) -> ContrastS
             return ContrastSystem(q)
 
 
+def integer_system_of_rank(rng: np.random.Generator, v: int, r: int) -> ContrastSystem:
+    """r integer columns in [-2, 2], the last row balancing each; redrawn
+    until q has rank r and no zero row."""
+    while True:
+        q = rng.integers(-2, 3, (v, r))
+        q[-1] = -q[:-1].sum(axis=0)
+        if q.any(axis=1).all() and np.linalg.matrix_rank(q) == r:
+            return ContrastSystem(q)
+
+
 def disjoint_union(*graphs: ComparisonGraph) -> ComparisonGraph:
     """The graphs side by side, vertices numbered in the order given."""
     edges, offset = [], 0

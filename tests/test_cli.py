@@ -419,6 +419,16 @@ class TestOracle:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: psi at p=-300.0")
 
+    def test_grid_overflowing_criterion_skips_the_reference(self, paw_edges, capsys, monkeypatch):
+        # the exit-4 refusal comes before the reference descent, which it would discard
+        descents = []
+        monkeypatch.setattr("odg.cli.optimize_phi_p", lambda *args, **kw: descents.append(args))
+        code, doc, _ = run_cli(
+            capsys, "oracle", "--q", paw_edges, "--mode", "grid", "--p", "-300", "--grid-step", "0.05"
+        )
+        assert code == 4 and doc is None
+        assert descents == []
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_criterion_past_the_float_range_exits_7(self, paw_edges, capsys):
         code, doc, err = run_cli(
@@ -478,6 +488,13 @@ class TestOracle:
             assert doc["oracle"]["rank"] == v - 1 and doc["oracle"]["passed"] is True
         else:
             assert doc is None and "oracle bound exceeded" in err
+
+    def test_kappa_rank_10_of_20(self, tmp_path, capsys):
+        # C(20, 10) principal minors: read off one polynomial, not refused
+        system = instances.random_integer_system(np.random.default_rng(1), 20, 10)
+        code, doc, _ = run_cli(capsys, "oracle", "--q", write_matrix(tmp_path, "halves.csv", system.q), "--mode", "kappa")
+        assert code == 0
+        assert doc["oracle"]["rank"] == 10 and doc["oracle"]["passed"] is True
 
     def test_kappa_huge_integer_ring(self, tmp_path, capsys):
         # a 12-ring with coefficients +-1e13: psi0 is about 1e300 and the

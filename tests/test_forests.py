@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import instances
-from forest_oracle import rooted_forest_weight, rooted_forests, weight_total_from_alpha
+from forest_oracle import minor_total_by_subsets, rooted_forest_weight, rooted_forests, weight_total_from_alpha
 from odg import (
     ComparisonGraph,
     Design,
@@ -15,7 +15,7 @@ from odg import (
     verify_d_identity,
     vertex_weighted_laplacian,
 )
-from odg.forests import MINOR_LIMIT, MINOR_V_LIMIT
+from odg.forests import MINOR_V_LIMIT, _bareiss, _minor_total
 from odg.errors import PreconditionViolated, TooLarge
 
 
@@ -157,11 +157,11 @@ class TestDIdentity:
         path21 = ComparisonGraph(MINOR_V_LIMIT + 1, tuple((i + 1, i) for i in range(MINOR_V_LIMIT)))
         with pytest.raises(TooLarge):
             verify_d_identity(path21, Design.uniform(MINOR_V_LIMIT + 1))
-        # rank 10 of 20 treatments needs C(20, 10) minors
+        # rank 10 of 20 treatments, C(20, 10) principal minors, is no longer refused
         halves = instances.random_integer_system(np.random.default_rng(1), 20, 10)
-        assert math.comb(20, 10) > MINOR_LIMIT
-        with pytest.raises(TooLarge):
-            verify_d_identity(halves, Design.uniform(20))
+        report = verify_d_identity(halves, Design.uniform(20))
+        assert report.rank == 10
+        assert abs(report.forest_total - report.psi_det) <= 1e-8 * report.psi_det
         # 1/w^19 past the float range
         tiny = np.full(20, 1e-17)
         tiny[-1] = 1.0 - tiny[:-1].sum()
@@ -177,6 +177,29 @@ class TestDIdentity:
             assert report.rank == graph.v - components and report.passed
             forests = rooted_forest_weight(graph, d, components)
             assert math.isclose(report.forest_total, forests, rel_tol=1e-12)
+
+    def test_minor_total_equals_subset_sum(self, rng):
+        # exactly the float of the brute-force sum, one elimination per r-subset
+        def designs(v):
+            wide = 10.0 ** rng.uniform(-6, 0, v)  # binary exponents far apart
+            return instances.random_design(rng, v), Design(wide / wide.sum())
+
+        systems = [instances.integer_system_of_rank(rng, v, r) for v in range(3, 13) for r in range(1, v)]
+        for components in (1, 2, 3) * 3:
+            parts = [instances.random_connected_graph(rng, 12 // components, 2) for _ in range(components)]
+            systems.append(graph_system(instances.disjoint_union(*parts)))
+        for system in systems:
+            for d in designs(system.v):
+                assert _minor_total(system, d) == minor_total_by_subsets(system, d)
+
+    @pytest.mark.parametrize("r", [16, 10])
+    def test_minor_total_eliminations(self, monkeypatch, r):
+        # one elimination per point t = 1..v of det(diag(m) + t G), whatever the rank
+        calls = []
+        monkeypatch.setattr("odg.forests._bareiss", lambda rows: calls.append(len(rows)) or _bareiss(rows))
+        system = instances.random_integer_system(np.random.default_rng(1), 20, r)
+        assert _minor_total(system, Design.uniform(20))[0] == r
+        assert len(calls) <= 20 + 1
 
     @pytest.mark.parametrize("v", [7, 10, 12])
     def test_integer_systems(self, rng, v):

@@ -261,7 +261,7 @@ def _first_minor(m: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def integer_det(m: np.ndarray) -> int:
     """Exact determinant of an integer matrix, by ``forests._bareiss``."""
-    return _bareiss(_integers(m).tolist())[1]
+    return _bareiss(_integers(m).tolist())
 
 
 class TestCofactorMinor:
@@ -300,10 +300,14 @@ class TestCofactorMinor:
                 for j in range(v):
                     assert integer_det(_first_minor(gram, i, j)) == (-1) ** (i + j) * base
 
+    def test_singular_and_swapped(self):
+        # no pivot left in a column gives 0; one row swap flips the sign
+        assert _bareiss([[0, 1], [0, 2]]) == 0
+        assert _bareiss([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 0
+        assert _bareiss([[0, 1], [1, 0]]) == -1
+        assert _bareiss([]) == 1
+
     def test_precondition_rejected(self):
-        # a matrix that is not square has a rank but no determinant
-        assert _bareiss(_integers(np.ones((2, 3))).tolist()) == (1, 0)
-        assert _bareiss([[1, 0, 2], [0, 1, 3]]) == (2, 0)
         with pytest.raises(PreconditionViolated, match="integer"):
             integer_det(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
