@@ -32,7 +32,7 @@ from .spectral import (
 from .criteria import CriterionValue, criterion_from_spectrum, psi_p, validate_p
 from .closed_form import a_optimal, d_optimal_uniform, e_optimal_bipartite
 from .symmetry import OrbitReduction, Permutation, check_invariance, find_cyclic_invariance, orbit_reduction
-from .forests import DIdentityReport, char_poly_coeffs, verify_d_identity
+from .forests import DIdentityReport, verify_d_identity
 from .optimizer import (
     CertificateReport,
     OptimizationResult,
@@ -59,7 +59,6 @@ __all__ = [
     "Permutation",
     "Spectrum",
     "a_optimal",
-    "char_poly_coeffs",
     "check_invariance",
     "classify",
     "covariance_matrix",

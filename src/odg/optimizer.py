@@ -26,7 +26,7 @@ from the Gram matrix's top eigenvectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,6 +165,13 @@ def _initial_point(system: ContrastSystem, p: float) -> np.ndarray:
     return np.full(system.v, 1.0 / system.v)
 
 
+def _unit_scaled(gram: np.ndarray) -> tuple[np.ndarray, int]:
+    """(``gram`` times 2^-e, e the binary exponent of its largest entry, so
+    that no square or product of its rows overflows or underflows; e)."""
+    e = math.frexp(float(np.abs(gram).max()))[1]
+    return np.ldexp(gram, -e), e
+
+
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """``x`` with each row scaled to unit length; a zero row stays zero."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -182,9 +189,10 @@ def _e_dual(system: ContrastSystem, tol: float, max_iter: int, averager):
     ``CHECK_EVERY`` iterations and at the last, u = diag(G V V^T) (then
     ``averager``) gives the bound L = sum u <= E* and w ~ max(u, FLOOR L);
     a Cholesky factorisation of (1 + tol) L diag(w) - G proves, if it
-    succeeds, lambda_max(K(w)) <= (1 + tol) E*. Returns (u, w, iterations,
-    converged)."""
-    gram, v = system.gram, system.v
+    succeeds, lambda_max(K(w)) <= (1 + tol) E*. Works on ``_unit_scaled``
+    G; returns (u in G's units, w, iterations, converged)."""
+    gram, e = _unit_scaled(system.gram)
+    v = system.v
     k = min(v, math.ceil(math.sqrt(2 * v)) + 1)
     start = system.gram_eigen[1][:, :k]
     vanish = np.einsum("ij,ij->i", start, start) <= np.finfo(np.float64).eps
@@ -202,10 +210,10 @@ def _e_dual(system: ContrastSystem, tol: float, max_iter: int, averager):
             w /= w.sum()
             try:
                 np.linalg.cholesky(np.diag((1.0 + tol) * lower * w) - gram)
-                return u, w, iterations, True
+                return np.ldexp(u, e), w, iterations, True
             except np.linalg.LinAlgError:
                 if iterations >= max_iter:
-                    return u, w, iterations, False
+                    return np.ldexp(u, e), w, iterations, False
         t, last = 1 if lower < last else t + 1, lower
         step = _unit_rows(product)
         vectors, previous = _unit_rows(step + (t - 1) / (t + 2) * (step - previous)), step
@@ -236,9 +244,11 @@ def optimize_phi_p(
         u, w, iterations, converged = _e_dual(system, opts.tol, opts.max_iter, averager)
         final = _evaluate(system.gram, w, rank, p)
         certificate = _dual_certificate(final, u)
-    else:
-        start = _evaluate(system.gram, averager(_initial_point(system, p)), rank, p)
+    else:  # on G scaled by a power of two, reported in G's units
+        gram, e = _unit_scaled(system.gram)
+        start = _evaluate(gram, averager(_initial_point(system, p)), rank, p)
         final, iterations, converged = _descend(start, opts.tol, opts.max_iter, averager, [])
+        final = replace(final, gram=system.gram, values=np.ldexp(final.values, e))
     return OptimizationResult(Design(final.w), final.criterion, final, "numeric", iterations, converged, certificate)
 
 

@@ -106,6 +106,20 @@ def random_connected_graph(rng: np.random.Generator, v_max: int = 7, v_min: int 
     return ComparisonGraph(v, directed)
 
 
+def connected_graph(rng: np.random.Generator, v: int, s: int) -> ComparisonGraph:
+    """Random spanning tree plus random extra edges, s edges in all, random orientations."""
+    order = rng.permutation(v)
+    edges = set()
+    for idx in range(1, v):
+        a, b = int(order[idx]), int(order[int(rng.integers(0, idx))])
+        edges.add((min(a, b), max(a, b)))
+    while len(edges) < s:
+        a, b = sorted(int(x) for x in rng.choice(v, 2, replace=False))
+        edges.add((a, b))
+    directed = tuple((a, b) if rng.random() < 0.5 else (b, a) for a, b in sorted(edges))
+    return ComparisonGraph(v, directed)
+
+
 def random_pairwise_graph(rng: np.random.Generator, v_max: int = 8) -> ComparisonGraph:
     """Random simple graph; may be disconnected but leaves no vertex isolated."""
     while True:

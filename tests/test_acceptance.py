@@ -108,7 +108,7 @@ def test_criterion_5_determinant_identity_on_random_graphs():
         ok = ok and report.passed
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 10.0
-    check(5, f"determinant value = forest total = trace-recurrence coefficient ({elapsed:.1f}s)", ok)
+    check(5, f"determinant value = forest total = characteristic coefficient ({elapsed:.1f}s)", ok)
 
 
 def test_criterion_6_spectrum_equivalence():

@@ -306,6 +306,37 @@ def test_non_utf8_file_exits_2(tmp_path, path3_edges, capsys, bad, command):
     assert len(lines) == 1 and lines[0].startswith("error:") and "not UTF-8" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "q, w, argv, code, message",
+    [
+        (None, "0.5 x 0.25 0.25\n", ["eval", "--p", "-1"], 2, "design file {w}: non-numeric weight"),
+        (None, "0.5 0.25 0.25\n", ["eval", "--p", "-1"], 2, "design file {w}: got 3 weights, system has v=4"),
+        (None, None, ["optimize", "--p", "-1", "--perm", "2 1 3"], 5, "permutation has 3 entries, system has v=4"),
+        (None, None, ["symmetry", "--perm", "2 1 3"], 5, "permutation has 3 entries, system has v=4"),
+        (("q.csv", "1,-1\nnan,1\n-1,0\n"), "0.5 0.5\n", ["eval", "--p", "-1"], 2,
+         "coefficient matrix contains non-finite entries"),
+        (("q.edges", "v=abc\n1 2\n"), "0.5 0.5\n", ["eval", "--p", "-1"], 2, "invalid vertex count in 'v=' line"),
+        (("q.edges", "v=3\n1 x\n"), "0.5 0.5\n", ["eval", "--p", "-1"], 2, "edge line '1 x' must contain integers"),
+    ],
+    ids=["non-numeric-weight", "weight-count", "optimize-perm-length", "symmetry-perm-length",
+         "nan-coefficient", "vertex-count", "edge-line"],
+)
+def test_input_refusal(tmp_path, paw_edges, capsys, q, w, argv, code, message):
+    # one error line naming the fault, and nothing on stdout
+    path = paw_edges
+    if q is not None:
+        path = str(tmp_path / q[0])
+        (tmp_path / q[0]).write_text(q[1])
+    weights = str(tmp_path / "w.txt")
+    if w is not None:
+        (tmp_path / "w.txt").write_text(w)
+        argv = [*argv, "--w", weights]
+    got = main([*argv, "--q", path])
+    captured = capsys.readouterr()
+    assert got == code and captured.out == ""
+    assert captured.err == f"error: {message.format(w=weights)}\n"
+
+
 class TestSymmetry:
     def test_two_groups_cyclic(self, tmp_path, capsys):
         q = tmp_path / "two.csv"
@@ -509,6 +540,16 @@ class TestOracle:
         assert code == 0
         doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
         assert doc["oracle"]["rank"] == v - 1 and doc["oracle"]["passed"] is True
+
+    def test_kappa_vanishing_weight_exits_3(self, tmp_path, paw_edges, capsys):
+        # psi_0's positivity check refuses the design before the pivoted Cholesky runs
+        w = np.array([1e-12, 1.0, 1.0, 1.0])
+        path = write_weights(tmp_path, "w.txt", w / w.sum())
+        code = main(["oracle", "--q", paw_edges, "--w", path, "--mode", "kappa"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("infeasible design:")
 
     def test_kappa_nonpairwise_exits_2(self, tmp_path, capsys):
         q = tmp_path / "avg.csv"

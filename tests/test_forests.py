@@ -8,14 +8,12 @@ from forest_oracle import minor_total_by_subsets, rooted_forest_weight, rooted_f
 from odg import (
     ComparisonGraph,
     Design,
-    char_poly_coeffs,
     detect_pairwise,
-    eigenvalues_sym,
     graph_system,
     verify_d_identity,
     vertex_weighted_laplacian,
 )
-from odg.forests import MINOR_V_LIMIT, _bareiss, _minor_total
+from odg.forests import MINOR_V_LIMIT, _bareiss, _char_coefficient, _minor_total
 from odg.errors import PreconditionViolated, TooLarge
 
 
@@ -86,37 +84,30 @@ class TestForestWeights:
             rooted_forest_weight(big, Design.uniform(13), 1)
 
 
+def elementary_symmetric(values: np.ndarray) -> np.ndarray:
+    """e_0..e_n of ``values`` by building prod_j (1 + lambda_j t) one factor at a time."""
+    esym = np.zeros(values.size + 1)
+    esym[0] = 1.0
+    for lam in values:
+        esym[1:] = esym[1:] + lam * esym[:-1]
+    return esym
+
+
 class TestCharPoly:
-    def test_two_by_two(self):
-        coeffs = char_poly_coeffs(np.array([[2.0, -2.0], [-2.0, 2.0]]))
-        assert np.allclose(coeffs, [1.0, 4.0, 0.0], atol=1e-12)
-
-    def test_path_uniform_matches_forest_total(self):
-        graph = instances.path3_graph()
-        lap = vertex_weighted_laplacian(graph, Design.uniform(3))
-        coeffs = char_poly_coeffs(lap)
-        assert math.isclose(coeffs[2], 27.0, rel_tol=1e-12)
-        assert abs(coeffs[3]) < 1e-10
-
-    def test_matches_elementary_symmetric_of_spectrum(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(3, 7))
-            x = rng.standard_normal((n, n))
-            m = x @ x.T
-            coeffs = char_poly_coeffs(m)
-            vals = eigenvalues_sym(m).values
-            # elementary symmetric functions by incremental polynomial build
-            esym = np.zeros(n + 1)
-            esym[0] = 1.0
-            for lam in vals:
-                esym[1:] = esym[1:] + lam * esym[:-1]
-            assert np.allclose(coeffs, esym, rtol=1e-6, atol=1e-8 * max(1.0, abs(esym).max()))
+    def test_char_coefficient_is_the_positive_eigenvalue_product(self, rng):
+        for n in range(3, 9):
+            for r in range(1, n + 1):
+                x = rng.standard_normal((n, r))
+                top = np.linalg.eigvalsh(x @ x.T)[n - r :]
+                expected = float(np.prod(top))
+                assert math.isclose(_char_coefficient(x @ x.T, r), expected, rel_tol=1e-10)
 
     def test_all_coefficients_match_forest_totals(self, rng):
+        # the all-minors identity: c_k of K(w) is the (v - k)-root forest total at every k
         for _ in range(20):
             graph = instances.random_connected_graph(rng, 7)
             d = instances.random_design(rng, graph.v)
-            coeffs = char_poly_coeffs(vertex_weighted_laplacian(graph, d))
+            coeffs = elementary_symmetric(np.linalg.eigvalsh(vertex_weighted_laplacian(graph, d)))
             for k in range(1, graph.v):
                 kappa = rooted_forest_weight(graph, d, graph.v - k)
                 assert math.isclose(coeffs[k], kappa, rel_tol=1e-6)
@@ -149,6 +140,16 @@ class TestDIdentity:
             d = instances.random_design(rng, graph.v)
             report = verify_d_identity(graph, d)
             assert report.passed, report
+
+    def test_passes_where_the_trace_recurrence_drifted(self):
+        rng = np.random.default_rng(7)
+        cases = [(instances.connected_graph(rng, 20, 60), instances.random_design(rng, 20)) for _ in range(20)]
+        paw = np.array([1e-7, 1.0, 1.0, 1.0])
+        cases.append((instances.paw_graph(), Design(paw / paw.sum())))
+        for graph, d in cases:
+            report = verify_d_identity(graph, d)
+            assert report.passed, report
+            assert abs(report.char_coefficient - report.forest_total) <= 1e-12 * report.forest_total
 
     def test_too_large(self):
         # past the forest enumeration's bound the minor total still vouches
@@ -208,10 +209,8 @@ class TestDIdentity:
             assert detect_pairwise(system) is None
             d = instances.random_design(rng, v)
             report = verify_d_identity(system, d)
-            # the trace recurrence loses accuracy on such spread spectra, so
-            # only the exact total is held to the spectral psi_0 here, whose
-            # rounding error grows with lambda_1 / lambda_r
             assert report.rank == min(s, v - 1)
+            assert report.passed, report
             assert math.isclose(report.forest_total, report.psi_det, rel_tol=1e-8)
 
     def test_non_integer_system_refused(self):

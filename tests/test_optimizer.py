@@ -33,6 +33,7 @@ from odg.criteria import _evaluate
 from odg.errors import TooLarge
 
 NEG_INF = float("-inf")
+EXTREME_SCALES = (2.0**300, 2.0**500, 2.0**-300)  # the squares of G's entries leave the float range
 
 
 class TestOptimize:
@@ -108,22 +109,35 @@ class TestOptimize:
         assert phi > psi_p(tree7, a_optimal(tree7).design, p).phi
         assert psi_p(tree7, result.design, NEG_INF).phi < phi < psi_p(tree7, result.design, -2.0).phi
 
-    @pytest.mark.parametrize("p", [0.0, -0.5, -2.0, NEG_INF])
-    @pytest.mark.parametrize("c", [1 / 64, 8.0, 1024.0])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "c, p",
+        [(c, p) for c in (1 / 64, 8.0, 1024.0) for p in (0.0, -0.5, -2.0, NEG_INF)]
+        + [(c, p) for c in EXTREME_SCALES for p in (-0.5, -2.0, NEG_INF)],
+    )
     def test_scale_equivariant_bit_for_bit(self, p, c):
         # Q -> cQ with c a power of 2 scales K(w), the value and the gradient
         # by c^2 exactly, each curvature pair's y by c^2 and its 1/s'y by
         # 1/c^2, and leaves every direction as it is: the same iterates follow.
         # At p = -inf it scales G V and the dual allocation by c^2 and leaves
         # the unit rows of V, the design and the Cholesky proof's outcome as
-        # they are
+        # they are. Past c = 2^+-300 the squares of G's entries leave the
+        # float range; both routes work on G scaled by a power of two, and
+        # only the dual's start, G's eigenvectors, may differ in rounding.
+        # (psi_0 itself leaves the float range there, so p = 0 stays out.)
         rng = np.random.default_rng(5)
         for v, s in ((6, 9), (9, 4)):
             system = instances.random_contrast_system(rng, v, s)
             base = optimize_phi_p(system, p)
             scaled = optimize_phi_p(ContrastSystem(c * system.q), p)
-            assert np.array_equal(scaled.design.w, base.design.w)
-            assert scaled.iterations == base.iterations
+            if p == NEG_INF and c in EXTREME_SCALES:
+                assert np.abs(scaled.design.w - base.design.w).max() <= 1e-9
+                assert scaled.converged
+                cert = scaled.certificate
+                assert cert.gap <= OptimizeOptions().tol * cert.rhs
+            else:
+                assert np.array_equal(scaled.design.w, base.design.w)
+                assert scaled.iterations == base.iterations
 
     def test_criterion_consistent_with_design(self, paw_system):
         result = optimize_phi_p(paw_system, -0.5)
