@@ -2,7 +2,7 @@
 
 Every invocation writes exactly one JSON document to stdout; diagnostics go
 to stderr. Exit codes: 0 success, 2 parse or usage error, 3 infeasible
-design, 4 optimizer did not converge or psi exceeds the float range,
+design, 4 optimizer did not converge or psi leaves the float range,
 5 invalid permutation, 6 symmetry search too large, 7 oracle too large.
 
 Input formats
@@ -31,6 +31,7 @@ from .contrasts import (
     ContrastSystem,
     detect_pairwise,
     graph_system,
+    is_edge_list,
     parse_contrast_matrix,
     parse_edge_list,
     rank_of,
@@ -110,7 +111,7 @@ def _read_text(path: str) -> str:
 def _load_system(path: str) -> tuple[ContrastSystem, ComparisonGraph | None]:
     """The file's contrast system, and its comparison graph if it is pairwise."""
     text = _read_text(path)
-    if text.lstrip().replace(" ", "").startswith("v="):
+    if is_edge_list(text):
         graph = parse_edge_list(text)
         return graph_system(graph), graph
     system = parse_contrast_matrix(text)
@@ -129,8 +130,11 @@ def _load_design(path: str, v: int) -> Design:
 
 
 def _criterion_doc(value: CriterionValue) -> dict:
-    if not math.isfinite(value.psi):  # JSON has no infinity; phi stays finite
+    # JSON has no infinity, and a positive psi that reads 0 is not its value; phi stays finite
+    if not math.isfinite(value.psi):
         raise _ExitWith(4, f"psi at p={_format_p(value.p)} exceeds the float range (phi = {value.phi!r})")
+    if value.psi == 0.0:
+        raise _ExitWith(4, f"psi at p={_format_p(value.p)} underflows the float range (phi = {value.phi!r})")
     return {"p": _format_p(value.p), "psi": value.psi, "phi": value.phi, "rank": value.rank}
 
 

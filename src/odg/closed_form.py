@@ -22,7 +22,7 @@ from .spectral import Design
 
 def a_optimal_weights(system: ContrastSystem) -> np.ndarray:
     """Row norms of the coefficient matrix, normalized to sum to one."""
-    norms = np.sqrt(np.sum(system.q * system.q, axis=1))
+    norms = system.row_norms
     return norms / norms.sum()
 
 
@@ -54,7 +54,7 @@ def e_optimal_bipartite(graph: ComparisonGraph) -> OptimizationResult:
     degrees = np.asarray(graph.degrees, dtype=np.float64)
     design = Design(degrees / degrees.sum())
     y = np.where(np.asarray(info.bipartition) == 0, 1.0, -1.0)
-    h = np.array([y[b] for _, b in graph.edges]) / np.sqrt(graph.s)
+    h = y[graph.ends[:, 1]] / np.sqrt(graph.s)
     system = graph_system(graph)
     evaluation = _evaluate(system.gram, design.w, rank_of(system), -np.inf)
     certificate = _dual_certificate(evaluation, y * (system.gram @ y))

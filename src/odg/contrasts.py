@@ -6,15 +6,23 @@ every column has exactly one +1 and one -1 the system is a set of pairwise
 comparisons and is represented by a directed graph on the treatments, with
 one edge per column.
 
+A pairwise system is its graph: ``graph_system`` writes the Gram matrix
+q q^T as the graph's Laplacian D - A, straight from the edges, and makes the
+v-by-s incidence matrix q only if something reads it. ``parse_edge_list``
+reads the text into one integer array of edge ends, so the route from an
+edge list to the spectrum holds nothing of size v-by-s.
+
 Vertices are 1-indexed in all file formats and reports, 0-indexed in code.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from itertools import chain
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -30,6 +38,7 @@ class ContrastSystem:
     ``gram`` is the v-by-v Gram matrix q q^T, computed once here; every
     spectrum of the system is read from it (see ``_kernels.weighted_gram``).
     ``gram_eigen`` is its eigendecomposition, made on first use and kept.
+    A pairwise system from ``graph_system`` is built from its graph instead.
     """
 
     q: np.ndarray
@@ -73,11 +82,16 @@ class ContrastSystem:
 
     @property
     def v(self) -> int:
-        return self.q.shape[0]
+        return self.gram.shape[0]
 
     @property
     def s(self) -> int:
         return self.q.shape[1]
+
+    @property
+    def row_norms(self) -> np.ndarray:
+        """The Euclidean norms of the rows of q."""
+        return np.sqrt(np.sum(self.q * self.q, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,12 +99,14 @@ class ComparisonGraph:
     """Directed graph of pairwise comparisons: edge (j, i) compares j against i.
 
     No loops and no repeated vertex pairs; degrees count incident edges
-    regardless of direction.
+    regardless of direction. The edges may be given as pairs or as an
+    s-by-2 integer array.
     """
 
     v: int
     edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...] = field(init=False)
+    ends: np.ndarray = field(init=False, repr=False)  # the edges as a read-only s-by-2 int64 array
 
     def __post_init__(self):
         if self.v < 2:
@@ -115,8 +131,10 @@ class ComparisonGraph:
             if loop[k]:
                 raise MalformedInput(f"loop at vertex {a + 1}")
             raise MalformedInput(f"repeated comparison between {a + 1} and {b + 1}")
+        ends.flags.writeable = False
         object.__setattr__(self, "edges", tuple(zip(*ends.T.tolist())))
         object.__setattr__(self, "degrees", tuple(np.bincount(ends.ravel(), minlength=self.v).tolist()))
+        object.__setattr__(self, "ends", ends)
 
     @property
     def s(self) -> int:
@@ -149,37 +167,66 @@ def parse_contrast_matrix(text: str) -> ContrastSystem:
     return ContrastSystem(np.array(rows, dtype=np.float64))
 
 
+# the first non-blank line: a non-space character up to the next line boundary of str.splitlines
+_FIRST_LINE = re.compile(r"\S[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def is_edge_list(text: str) -> bool:
+    """Whether ``text`` opens with the ``v=<n>`` line of an edge list."""
+    found = _FIRST_LINE.search(text)
+    return found is not None and found.group().replace(" ", "").startswith("v=")
+
+
 def parse_edge_list(text: str) -> ComparisonGraph:
     """Parse an edge list: first line ``v=<n>``, then one ``j i`` pair per line.
 
     Each pair is 1-indexed and encodes the comparison of treatment j against
-    treatment i. A list with more than twice as many treatments as
-    comparisons leaves a treatment in none, so no contrast system can come
-    of it: it raises ``ZeroRow`` before anything of size v is made.
+    treatment i; an index is any text ``int()`` reads. The whole text is
+    split and converted at once into one int64 array of edge ends, whose
+    range is checked in numpy. A list with more than twice as many
+    treatments as comparisons leaves a treatment in none, so no contrast
+    system can come of it: it raises ``ZeroRow`` before anything of size v
+    is made. Any refusal names the first offending line (``_refuse``).
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].replace(" ", "").startswith("v="):
+    if not is_edge_list(text):
         raise MalformedInput("edge list must start with a 'v=<n>' line")
+    head = _FIRST_LINE.search(text)
     try:
-        v = int(lines[0].split("=", 1)[1])
+        v = int(head.group().split("=", 1)[1])
     except ValueError:
         raise MalformedInput("invalid vertex count in 'v=' line") from None
-    edges = []
-    for ln in lines[1:]:
+    lines = text[head.end() :].splitlines()
+    rows = list(map(str.split, lines))
+    counts = list(map(len, rows))
+    s = counts.count(2)
+    ends = None
+    if s + counts.count(0) == len(rows) and v <= 2 * s:  # two indices a line, no treatment left out
+        try:
+            ends = np.fromiter(map(int, chain.from_iterable(rows)), np.int64, 2 * s).reshape(s, 2)
+        except (ValueError, OverflowError):  # a token int() refuses, or an index beyond int64
+            pass
+    if ends is None or (s and not (1 <= ends.min() and ends.max() <= v)):
+        _refuse(lines, v)
+    return ComparisonGraph(v, ends - 1)
+
+
+def _refuse(lines: list[str], v: int) -> NoReturn:
+    """Raise for the first offending edge line, else for the first treatment in no comparison."""
+    used = set()
+    for ln in lines:
         parts = ln.split()
+        if not parts:
+            continue
         if len(parts) != 2:
-            raise MalformedInput(f"edge line {ln!r} must contain exactly two vertex indices")
+            raise MalformedInput(f"edge line {ln.strip()!r} must contain exactly two vertex indices")
         try:
             j, i = int(parts[0]), int(parts[1])
         except ValueError:
-            raise MalformedInput(f"edge line {ln!r} must contain integers") from None
+            raise MalformedInput(f"edge line {ln.strip()!r} must contain integers") from None
         if not (1 <= j <= v and 1 <= i <= v):
             raise MalformedInput(f"edge ({j}, {i}) out of range for v={v}")
-        edges.append((j - 1, i - 1))
-    if v > 2 * len(edges):  # a treatment in no comparison: name it, allocating nothing of size v
-        used = {x for edge in edges for x in edge}
-        raise ZeroRow(f"treatment {min(set(range(len(used) + 1)) - used) + 1} has an all-zero coefficient row")
-    return ComparisonGraph(v, tuple(edges))
+        used.update((j, i))
+    raise ZeroRow(f"treatment {min(set(range(1, len(used) + 2)) - used)} has an all-zero coefficient row")
 
 
 def detect_pairwise(system: ContrastSystem) -> Optional[ComparisonGraph]:
@@ -199,7 +246,7 @@ def detect_pairwise(system: ContrastSystem) -> Optional[ComparisonGraph]:
     keys = np.sort(np.minimum(tails, heads) * system.v + np.maximum(tails, heads))
     if np.any(keys[1:] == keys[:-1]):  # a repeated or reversed comparison
         return None
-    return ComparisonGraph(system.v, tuple(zip(tails.tolist(), heads.tolist())))
+    return ComparisonGraph(system.v, np.column_stack((tails, heads)))
 
 
 def _adjacency(graph: ComparisonGraph) -> list[list[int]]:
@@ -250,14 +297,54 @@ def classify(graph: ComparisonGraph) -> GraphClassification:
 def incidence_matrix(graph: ComparisonGraph) -> np.ndarray:
     """v-by-s incidence matrix: +1 at the edge tail, -1 at the head."""
     r = np.zeros((graph.v, graph.s))
-    ends = np.array(graph.edges, dtype=np.intp).reshape(graph.s, 2)
-    r[ends.T, np.arange(graph.s)] = [[1.0], [-1.0]]
+    r[graph.ends.T, np.arange(graph.s)] = [[1.0], [-1.0]]
     return r
 
 
+class _GraphSystem(ContrastSystem):
+    """The contrast system of a comparison graph, built at the size of the graph.
+
+    ``gram`` is the Laplacian D - A written from the edges: degrees on the
+    diagonal and -1 at (a, b) and (b, a) for each edge. No pair repeats, so
+    it is exactly incidence_matrix(graph) @ incidence_matrix(graph).T, with
+    every entry a small integer. ``q`` is that incidence matrix, made on
+    first read.
+    """
+
+    def __init__(self, graph: ComparisonGraph):
+        if graph.s < 1:
+            raise MalformedInput(f"need at least 2 treatments and 1 contrast, got {graph.v}x0")
+        degrees = np.array(graph.degrees, dtype=np.float64)
+        zero = np.flatnonzero(degrees == 0.0)
+        if zero.size:
+            raise ZeroRow(f"treatment {zero[0] + 1} has an all-zero coefficient row")
+        gram = np.diag(degrees)
+        a, b = graph.ends.T
+        gram[a, b] = gram[b, a] = -1.0
+        gram.flags.writeable = False
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "graph", graph)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        q = incidence_matrix(self.graph)
+        q.flags.writeable = False
+        return q
+
+    @property
+    def s(self) -> int:
+        return self.graph.s
+
+    @property
+    def row_norms(self) -> np.ndarray:
+        """Square roots of the degrees: each row of q holds degree-many entries +-1."""
+        return np.sqrt(np.diagonal(self.gram))
+
+
 def graph_system(graph: ComparisonGraph) -> ContrastSystem:
-    """The contrast system whose coefficient matrix is the incidence matrix."""
-    return ContrastSystem(incidence_matrix(graph))
+    """The contrast system whose coefficient matrix is the incidence matrix,
+    built from the edges (``_GraphSystem``) and refused where it would be."""
+    return _GraphSystem(graph)
 
 
 def rank_of(system: ContrastSystem, tol: float = RANK_TOL) -> int:

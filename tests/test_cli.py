@@ -124,6 +124,22 @@ class TestEval:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: psi at p=-300.0") and "phi = 0.0310" in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--w", "w", "--p", "0"), ("eval", "--w", "w", "--p", "-2"), ("optimize", "--p", "-2")],
+        ids=["eval-d", "eval-p-2", "optimize-p-2"],
+    )
+    def test_underflowing_criterion_exits_4(self, argv, tmp_path, capsys):
+        # on the paw written at 2^-300, psi at p = 0 and p = -2 is below the
+        # smallest float: it is refused as an overflowing one is, not reported as 0
+        q = write_matrix(tmp_path, "paw.csv", 2.0**-300 * graph_system(instances.paw_graph()).q)
+        w = write_weights(tmp_path, "w.csv", np.full(4, 0.25))
+        code, doc, err = run_cli(capsys, *(w if arg == "w" else arg for arg in argv), "--q", q)
+        assert code == 4 and doc is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: psi at p={float(argv[-1])!r} underflows the float range")
+        assert lines[0].endswith("e+179)")  # phi, about 4e179, stays finite
+
     @pytest.mark.parametrize("tol", ["0", "2", "nan"])
     def test_rank_tol_outside_unit_interval_exits_2(self, tmp_path, path3_edges, tol, capsys):
         w = write_weights(tmp_path, "w.txt", [0.3, 0.4, 0.3])

@@ -1,3 +1,9 @@
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +14,8 @@ import odg.contrasts
 from odg import (
     ComparisonGraph,
     ContrastSystem,
+    Design,
+    a_optimal,
     classify,
     detect_pairwise,
     e_optimal_bipartite,
@@ -15,8 +23,10 @@ from odg import (
     incidence_matrix,
     parse_contrast_matrix,
     parse_edge_list,
+    psi_p,
     rank_of,
 )
+from odg.contrasts import is_edge_list
 from odg.errors import MalformedInput, NotAContrast, PreconditionViolated, ZeroRow
 
 
@@ -57,6 +67,69 @@ def detect_pairwise_reference(system):
         seen.add((min(i, j), max(i, j)))
         edges.append((j, i))
     return edges
+
+
+def parse_edge_list_reference(text):
+    """The line-by-line edge-list parse that ``parse_edge_list`` does in one pass."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].replace(" ", "").startswith("v="):
+        raise MalformedInput("edge list must start with a 'v=<n>' line")
+    try:
+        v = int(lines[0].split("=", 1)[1])
+    except ValueError:
+        raise MalformedInput("invalid vertex count in 'v=' line") from None
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise MalformedInput(f"edge line {ln!r} must contain exactly two vertex indices")
+        try:
+            j, i = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MalformedInput(f"edge line {ln!r} must contain integers") from None
+        if not (1 <= j <= v and 1 <= i <= v):
+            raise MalformedInput(f"edge ({j}, {i}) out of range for v={v}")
+        edges.append((j - 1, i - 1))
+    if v > 2 * len(edges):
+        used = {x for edge in edges for x in edge}
+        raise ZeroRow(f"treatment {min(set(range(len(used) + 1)) - used) + 1} has an all-zero coefficient row")
+    return ComparisonGraph(v, tuple(edges))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists of distinct comparisons on v <= 6 treatments, some with faults.
+
+    Indices are written as int() reads them: with a sign, leading zeros or
+    an underscore. Up to two faults go in: a vertex count or an index that is
+    out of range, past int64 or not an integer, a line with one or three
+    tokens, or a repeated comparison. Lines may be blank, padded, and end in
+    any line boundary of str.splitlines.
+    """
+    v = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(a, b) for a in range(1, v + 1) for b in range(a + 1, v + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    lines = [[str(a), str(b)] if draw(st.booleans()) else [str(b), str(a)] for a, b in chosen]
+    lines = [[draw(st.sampled_from(["{}", "+{}", "0{}", "0_{}"])).format(x) for x in line] for line in lines]
+    bad = st.sampled_from(["0", "-1", str(v + 1), str(2**70), "x", "1.0", "\u0662"])
+    for fault in draw(st.lists(st.sampled_from(["index", "one", "three", "repeat", "count"]), max_size=2)):
+        k = draw(st.integers(0, len(lines) - 1))
+        if fault == "index":
+            lines[k][draw(st.integers(0, len(lines[k]) - 1))] = draw(bad)
+        elif fault == "one":
+            lines[k] = lines[k][:1]
+        elif fault == "three":
+            lines[k] = lines[k] + [draw(st.sampled_from(["1", "x"]))]
+        elif fault == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), list(reversed(lines[k])))
+        else:
+            v = draw(st.sampled_from([-1, 0, 1, 2 * len(lines) + 1, 10**40]))
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+    pads = st.sampled_from(["", " ", "\t"])
+    body = "".join(draw(pads) + " ".join(line) + draw(pads) + draw(breaks) for line in lines)
+    blank = draw(st.sampled_from(["", "\n", " \n\t"]))
+    head = draw(st.sampled_from(["v={}", "v={}", " v = {} ", "\n\nv={}", "\tv =+{}", "v={}x", "w={}"])).format(v)
+    return head + draw(breaks) + blank + body
 
 
 @st.composite
@@ -159,6 +232,76 @@ class TestParsing:
             parse_edge_list("v=3\n4 1\n")
         with pytest.raises(MalformedInput):
             parse_edge_list("v=3\n2 1 3\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "v=3\n+2 1\n03 2\n",  # a sign and a leading zero
+            "v=3\n2 1\n3 0_2\n",  # an underscore between digits
+            "v=3\r\n2\t1\r\n\r\n  3   2  \r\n",  # CRLF, a tab, a blank line, padding
+            "\n  \n v = 3 \n\n2 1\n\n3 2",  # blank lines before the header, spaces in it, no final newline
+            "v=3\f2 1\x1e3 2\u2028",  # line boundaries of str.splitlines other than newline
+            "v=3\n\u0662 1\n\uff13 \uff12\n",  # non-ASCII decimal digits
+        ],
+    )
+    def test_indices_read_as_int_reads_them(self, text):
+        graph = parse_edge_list(text)
+        assert (graph.v, graph.edges) == (3, ((1, 0), (2, 1)))
+        assert is_edge_list(text)
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n", "1,-1\n-1,1\n", "w=3\n", "v\t=3\n1 2\n"])
+    def test_not_an_edge_list(self, text):
+        assert not is_edge_list(text)
+        with pytest.raises(MalformedInput, match="^edge list must start with a 'v=<n>' line$"):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # three kinds of fault: the first offending line names the refusal
+            ("2 1\n1 2 3\n1 x\n9 1\n", "edge line '1 2 3' must contain exactly two vertex indices"),
+            ("2 1\n1 x\n1 2 3\n9 1\n", "edge line '1 x' must contain integers"),
+            ("2 1\n9 1\n1 x\n1 2 3\n", r"edge \(9, 1\) out of range for v=3"),
+            ("2 1\n  4\t\n1 x\n", "edge line '4' must contain exactly two vertex indices"),
+            ("2 1\n3 1.0\n9 1\n", "edge line '3 1.0' must contain integers"),
+            # within one line: the token count, then integers, then the range
+            ("2 1\n9 x 1\n", "edge line '9 x 1' must contain exactly two vertex indices"),
+            ("2 1\n9 x\n", "edge line '9 x' must contain integers"),
+            ("2 1\n0 1\n", r"edge \(0, 1\) out of range for v=3"),
+            ("2 1\n-1 2\n", r"edge \(-1, 2\) out of range for v=3"),
+            # an index beyond int64 is out of range, not an OverflowError
+            ("2 1\n1 1180591620717411303424\n", r"edge \(1, 1180591620717411303424\) out of range for v=3"),
+            ("2 1\n-1180591620717411303424 1\n", r"edge \(-1180591620717411303424, 1\) out of range for v=3"),
+            # the graph's own checks come after every line is read
+            ("2 1\n2 2\n9 1\n", r"edge \(9, 1\) out of range for v=3"),
+            ("2 1\n2 2\n3 1\n", "loop at vertex 2"),
+            ("2 1\n3 1\n1 2\n", "repeated comparison between 1 and 2"),
+        ],
+    )
+    def test_first_offending_line(self, body, message):
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            parse_edge_list("v=3\n" + body)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    @example("v=3\n2 1\n3 2\n")
+    @example("v=0\n")
+    @example("v=1\n")
+    @example("v=2\n1 1\n")
+    def test_agrees_with_line_loop(self, text):
+        try:
+            expected = parse_edge_list_reference(text)
+        except (MalformedInput, ZeroRow) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                parse_edge_list(text)
+        else:
+            graph = parse_edge_list(text)
+            assert (graph.v, graph.edges) == (expected.v, expected.edges)
+
+    def test_index_past_int64_within_a_huge_vertex_count(self):
+        # in range for v = 10**40, so the list is refused only for the treatments it leaves out
+        with pytest.raises(ZeroRow, match="^treatment 3 has an all-zero coefficient row$"):
+            parse_edge_list(f"v={10**40}\n1 2\n2 {2**70}\n")
 
 
 class TestDetectPairwise:
@@ -333,6 +476,73 @@ class TestRank:
         info = classify(square_plus_isolated_edge)
         assert square_plus_isolated_edge.s == 5 and not info.is_tree
         assert rank_of(graph_system(square_plus_isolated_edge)) < 5
+
+
+class TestGraphSystem:
+    @staticmethod
+    def graphs(rng):
+        """Seeded random graphs of one, two and three components, no vertex isolated."""
+        for _ in range(40):
+            parts = [instances.random_connected_graph(rng, 9, 2) for _ in range(int(rng.integers(1, 4)))]
+            yield instances.disjoint_union(*parts)
+
+    def test_laplacian_is_the_incidence_product_bit_for_bit(self, rng):
+        for graph in self.graphs(rng):
+            system = graph_system(graph)
+            q = incidence_matrix(graph)
+            product = q @ q.T
+            assert np.array_equal(system.gram, product)
+            assert np.array_equal(np.signbit(system.gram), np.signbit(product))  # no -0.0 either way
+            assert "q" not in vars(system)  # q is made on first read only
+            assert np.array_equal(system.q, q) and not system.q.flags.writeable
+            assert (system.v, system.s) == q.shape
+            assert rank_of(system) == graph.v - classify(graph).component_count
+
+    def test_a_optimum_reads_the_degrees_not_q(self, rng):
+        # sqrt(degree) is the row norm of q exactly, so the design is the same
+        for graph in self.graphs(rng):
+            system = graph_system(graph)
+            design = a_optimal(system).design.w
+            psi_p(system, Design.uniform(graph.v), -2.0)
+            assert "q" not in vars(system)
+            assert np.array_equal(design, a_optimal(ContrastSystem(incidence_matrix(graph))).design.w)
+
+    def test_refuses_what_the_incidence_matrix_would(self):
+        for graph in (ComparisonGraph(3, ((1, 2),)), ComparisonGraph(4, ((3, 1), (1, 2)))):
+            with pytest.raises(ZeroRow, match="^treatment 1 has an all-zero coefficient row$"):
+                ContrastSystem(incidence_matrix(graph))
+            with pytest.raises(ZeroRow, match="^treatment 1 has an all-zero coefficient row$"):
+                graph_system(graph)
+        with pytest.raises(MalformedInput, match="^need at least 2 treatments and 1 contrast, got 3x0$"):
+            graph_system(ComparisonGraph(3, ()))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("argv", [["eval", "--w", "W", "--p", "-1"], ["optimize", "--p", "-1"]], ids=["eval", "optimize"])
+def test_complete_graph_on_400_treatments_stays_small(argv, tmp_path):
+    # K400 has 79 800 comparisons: its v-by-s incidence matrix alone is 255 MB
+    v = 400
+    edges = tmp_path / "k400.edges"
+    edges.write_text(f"v={v}\n" + "".join(f"{i} {j}\n" for i in range(1, v + 1) for j in range(i + 1, v + 1)))
+    weights = tmp_path / "k400.w"
+    weights.write_text(" ".join([repr(1.0 / v)] * v) + "\n")
+    argv = [str(weights) if arg == "W" else arg for arg in argv] + ["--q", str(edges)]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from odg.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(sys.argv[1:])\n"
+        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(json.dumps([code, len(json.loads(out.getvalue())['spectrum']), int(peak.split()[1]) / 1024]))\n"
+    )
+    src = str(Path(odg.contrasts.__file__).resolve().parents[1])
+    env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, length, peak_mb = json.loads(done.stdout.strip().splitlines()[-1])
+    assert code == 0 and length == v * (v - 1) // 2
+    assert peak_mb < 200
 
 
 class TestGraphValidation:
