@@ -5,7 +5,10 @@ G = Q Q^T is the v-by-v Gram matrix of a contrast system and W = diag(w).
 K(w) shares its positive eigenvalues with the s-by-s covariance matrix
 Q^T W^{-1} Q; for pairwise systems it is the vertex-weighted Laplacian.
 ``weighted_gram`` is the one place that scales G by a design and
-``eigh_sym`` the one eigensolver (LAPACK). ``grid_scan``, the brute-force
+``eigh_sym`` the one eigensolver (LAPACK), which also gives the eigenvalues
+alone where nothing reads the eigenvectors, as for the rank. The descent's
+iterates at p = -1 and -2 are read from diag(G) and G o G with no
+eigensolve (``criteria._evaluator``). ``grid_scan``, the brute-force
 lattice scan, reads the same positive spectrum by a separate route: with
 G = F F^T (F v-by-r, r = rank(G)) it works on the r-by-r matrices
 M = F^T W^{-1} F, never forming K(w). At p = 0, -1 and -2 it needs no
@@ -53,9 +56,16 @@ def weighted_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
     return gram / np.sqrt(w[..., :, None] * w[..., None, :])
 
 
-def eigh_sym(a):
-    """LAPACK eigen-decomposition, reordered to descending eigenvalues."""
-    vals, vecs = np.linalg.eigh(np.asarray(a, dtype=np.float64))
+def eigh_sym(a, values_only=False):
+    """LAPACK eigen-decomposition, reordered to descending eigenvalues.
+
+    With ``values_only`` it returns the eigenvalues alone, which LAPACK
+    finds in about half the time of the full decomposition.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if values_only:
+        return np.linalg.eigvalsh(a)[::-1].copy()
+    vals, vecs = np.linalg.eigh(a)
     return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
 
 

@@ -37,7 +37,8 @@ class ContrastSystem:
 
     ``gram`` is the v-by-v Gram matrix q q^T, computed once here; every
     spectrum of the system is read from it (see ``_kernels.weighted_gram``).
-    ``gram_eigen`` is its eigendecomposition, made on first use and kept.
+    ``gram_eigen`` is its eigendecomposition and ``gram_values`` its
+    eigenvalues, each made on first use and kept.
     A pairwise system from ``graph_system`` is built from its graph instead.
     """
 
@@ -79,6 +80,16 @@ class ContrastSystem:
         for a in eigen:
             a.flags.writeable = False
         return eigen
+
+    @cached_property
+    def gram_values(self) -> np.ndarray:
+        """Eigenvalues of ``gram``, descending: ``gram_eigen``'s where that
+        is made, else from a values-only eigensolve."""
+        if "gram_eigen" in self.__dict__:
+            return self.gram_eigen[0]
+        values = eigh_sym(self.gram, values_only=True)
+        values.flags.writeable = False
+        return values
 
     @property
     def v(self) -> int:
@@ -352,13 +363,15 @@ def rank_of(system: ContrastSystem, tol: float = RANK_TOL) -> int:
 
     q q^T and q^T q share their positive eigenvalues, so the v-by-v Gram
     matrix gives the rank of any system, however many contrasts it has.
-    The eigenvalues are the system's ``gram_eigen``, made once per system,
-    so every later call is a count, at any tolerance in (0, 1); any other
-    tolerance raises ``PreconditionViolated``.
+    Only the eigenvalues are read: the system's ``gram_values``, taken from
+    ``gram_eigen`` where that is already made and otherwise from one
+    values-only eigensolve per system, so every later call is a count, at
+    any tolerance in (0, 1); any other tolerance raises
+    ``PreconditionViolated``.
     """
     if not 0.0 < tol < 1.0:  # also refuses nan
         raise PreconditionViolated(f"rank tolerance must be a number in (0, 1), got {tol!r}")
-    vals = system.gram_eigen[0]
+    vals = system.gram_values
     if vals[0] <= 0.0:
         return 0
     return int(np.count_nonzero(vals > tol * vals[0]))

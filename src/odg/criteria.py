@@ -17,11 +17,15 @@ descent minimizes; ``_reduce`` reads it from log(lambda_j / lambda_1), not
 from psi, so it stays finite where psi overflows (p = -300 on a
 seven-treatment tree) and tends to the p = 0 value as p -> 0-.
 
-Each design, iterate or report, is one ``_evaluate``: a single
-eigendecomposition of K(w), made by ``eigh_sym``, into an ``_Evaluation``
-that the reported criterion and spectrum, the descent and the E-certificate
-all read. One rule per p (``_reduce``) gives the value and the gradient's
-coefficients.
+A reported design is one ``_evaluate``: a single eigendecomposition of
+K(w), made by ``eigh_sym``, into an ``_Evaluation`` that the reported
+criterion and spectrum and the E-certificate read. The descent evaluates
+its iterates through ``_evaluator``, which eigensolves only where the
+criterion needs eigenvectors. At p = -1 and -2 the power sums of K(w)'s
+eigenvalues are polynomials in x = 1/w, tr K(w) = x . diag(G) and
+||K(w)||_F^2 = x^T (G o G) x (``_PowerSum``), so those iterates make no
+eigensolve; at other finite p each iterate is one ``_evaluate``, and one
+rule (``_reduce``) gives the value and the gradient's coefficients.
 
 Pass p = -inf as ``float("-inf")``; its value is the largest eigenvalue,
 read by a distinct code path, never as a numerical limit of the finite-p
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -203,6 +207,50 @@ def _evaluate(
     """
     values, vectors = eigh_sym(weighted_gram(gram, w))
     return _Evaluation(gram, w, values, vectors, rank, validate_p(p), rank_tol)
+
+
+@dataclass(frozen=True, eq=False)
+class _PowerSum:
+    """The power mean 1/phi_p at p = -1 or -2 and its w-gradient, read
+    without an eigensolve. The r positive eigenvalues of K(w) carry all of
+    tr K(w) = x . diag(G) and ||K(w)||_F^2 = x^T (G o G) x, x = 1/w, so
+    1/phi_-1 = x . diag(G) / r with gradient -x^2 o diag(G) / r, and
+    1/phi_-2 = sqrt(x^T (G o G) x / r) with gradient
+    -x^2 o (G o G) x / (value r)."""
+
+    w: np.ndarray
+    p: float
+    value: float
+    slope: np.ndarray
+
+    def gradient(self) -> np.ndarray:
+        return self.slope
+
+
+def _evaluator(gram: np.ndarray, rank: int, p: float) -> Callable[[np.ndarray], _PowerSum | _Evaluation]:
+    """The descent's evaluation of a design at finite p: a ``_PowerSum`` at
+    p = -1 and -2, from diag(G) or G o G formed once here, else
+    ``_evaluate``. ``gram`` should be scaled so that its squares neither
+    overflow nor underflow (``optimizer._unit_scaled``)."""
+    if p == -1.0:
+        diagonal = np.diagonal(gram) / rank
+
+        def trace(w):
+            x = 1.0 / w
+            return _PowerSum(w, p, float(x @ diagonal), -(x * x) * diagonal)
+
+        return trace
+    if p == -2.0:
+        hadamard = gram * gram / rank
+
+        def frobenius(w):
+            x = 1.0 / w
+            hx = hadamard @ x
+            value = math.sqrt(float(x @ hx))
+            return _PowerSum(w, p, value, -(x * x) * hx / value)
+
+        return frobenius
+    return lambda w: _evaluate(gram, w, rank, p)
 
 
 def psi_p(

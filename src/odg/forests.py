@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import weighted_gram
-from .contrasts import ComparisonGraph, ContrastSystem, graph_system
+from .contrasts import ComparisonGraph, ContrastSystem, _GraphSystem, graph_system
 from .criteria import psi_p
 from .spectral import Design
 from .errors import PreconditionViolated, TooLarge
@@ -94,11 +94,14 @@ def _minor_total(system: ContrastSystem, design: Design) -> tuple[int, float]:
     c_r 2^(e r) / prod_i m_i, rounded to float once. The r-th forward
     difference of P(0), ..., P(v) is r! c_r, and every higher one is 0.
     """
-    qi = _integers(system.q)
+    # a graph's Gram matrix is its Laplacian D - A, small integers exact in
+    # float: read as it is, past the size check, with no q made; a CSV's
+    # coefficients are checked first, whatever its size
+    qi = None if isinstance(system, _GraphSystem) else _integers(system.q)
     v = system.v
     if v > MINOR_V_LIMIT:
         raise TooLarge(f"the exact minor total is limited to v <= {MINOR_V_LIMIT}, got v={v}")
-    gram = (qi @ qi.T).tolist()
+    gram = (_integers(system.gram) if qi is None else qi @ qi.T).tolist()
     ratios = [w.as_integer_ratio() for w in design.w.tolist()]
     scale = max(den for _, den in ratios)  # 2^e: every denominator is a power of two
     m = [num * (scale // den) for num, den in ratios]

@@ -6,9 +6,12 @@ two-loop direction from the last ``PAIRS`` curvature pairs and an Armijo
 backtrack along it. It stops when the relative decrease of an accepted
 step falls below the tolerance, or when no decrease is left that the
 criterion value can resolve. All criteria handled here are convex in w, so
-the iteration converges to the global minimum. Each iterate is one
-``criteria._evaluate``, one eigendecomposition of K(w); the last accepted
-one is the reported design, read without another.
+the iteration converges to the global minimum. Iterates are evaluated by
+``criteria._evaluator``: at p = -1 and -2 from diag(G) or G o G, with no
+eigensolve, and the reported design is then eigensolved once; at other
+finite p each iterate is one eigendecomposition of K(w), and the last
+accepted one is the reported design, read without another. Either way a
+finite-p optimum costs one values-only eigensolve of G for the rank.
 
 The largest-eigenvalue criterion (p = -inf) is solved from its dual (see
 ``_e_dual``). lambda_max(K(w)) <= tau exactly when G <= tau diag(w), so
@@ -34,7 +37,15 @@ import numpy as np
 from ._kernels import grid_scan
 from .closed_form import a_optimal_weights
 from .contrasts import ContrastSystem, rank_of
-from .criteria import CertificateReport, OptimizationResult, _dual_certificate, _evaluate, validate_p
+from .criteria import (
+    CertificateReport,
+    OptimizationResult,
+    _dual_certificate,
+    _evaluate,
+    _Evaluation,
+    _evaluator,
+    validate_p,
+)
 from .spectral import Design
 from .symmetry import OrbitReduction
 from .errors import NotConverged, TooLarge
@@ -91,9 +102,9 @@ def _lbfgs_direction(grad, pairs, value):
     return -q
 
 
-def _descend(current, tol, max_iter, averager, pairs):
-    """L-BFGS on the log-weights z from the evaluation ``current``; each
-    trial point is evaluated as ``current`` was.
+def _descend(evaluate, w, tol, max_iter, averager, pairs):
+    """L-BFGS on the log-weights z from the design ``w``; ``evaluate`` reads
+    the value and gradient at each design (``criteria._evaluator``).
 
     The design is w = softmax(z), so every iterate lies in the open
     simplex, and the criterion's gradient in z is w (g - g'w), with g its
@@ -113,6 +124,7 @@ def _descend(current, tol, max_iter, averager, pairs):
     the eigenvalues' units and the z-gradient is bounded by it, so nothing
     here overflows; ``NotConverged`` means that K(w) itself is not finite.
     """
+    current = evaluate(w)
     z = np.log(current.w)
     g = averager(current.gradient())
     grad = current.w * (g - g @ current.w)
@@ -137,7 +149,7 @@ def _descend(current, tol, max_iter, averager, pairs):
                 break
             w = _softmax(z + lam * direction)
             if w.min() >= FLOOR:  # an underflowed weight would divide by zero in K(w)
-                candidate = _evaluate(current.gram, w, current.rank, current.p, current.rank_tol)
+                candidate = evaluate(w)
                 if candidate.value <= value + 1e-4 * lam * slope:
                     trial = candidate
                     break
@@ -233,22 +245,26 @@ def optimize_phi_p(
     """
     p = validate_p(p)
     opts = opts or OptimizeOptions()
-    rank = rank_of(system)
     averager = np.asarray  # no orbits: the gradient and the dual allocation as they are
     if opts.orbits is not None:
         if len(opts.orbits.orbit_of) != system.v:
             raise ValueError("orbit reduction does not match the system size")
         averager = _orbit_average(opts.orbits)
     certificate = None
-    if p == -math.inf:
+    if p == -math.inf:  # the dual's start eigensolves G, and the rank is read from it
         u, w, iterations, converged = _e_dual(system, opts.tol, opts.max_iter, averager)
-        final = _evaluate(system.gram, w, rank, p)
+        final = _evaluate(system.gram, w, rank_of(system), p)
         certificate = _dual_certificate(final, u)
     else:  # on G scaled by a power of two, reported in G's units
+        rank = rank_of(system)
         gram, e = _unit_scaled(system.gram)
-        start = _evaluate(gram, averager(_initial_point(system, p)), rank, p)
-        final, iterations, converged = _descend(start, opts.tol, opts.max_iter, averager, [])
-        final = replace(final, gram=system.gram, values=np.ldexp(final.values, e))
+        evaluate = _evaluator(gram, rank, p)
+        start = averager(_initial_point(system, p))
+        final, iterations, converged = _descend(evaluate, start, opts.tol, opts.max_iter, averager, [])
+        if isinstance(final, _Evaluation):  # K(w) scales exactly with G
+            final = replace(final, gram=system.gram, values=np.ldexp(final.values, e))
+        else:  # no iterate was eigensolved: the reported design is, once
+            final = _evaluate(system.gram, final.w, rank, p)
     return OptimizationResult(Design(final.w), final.criterion, final, "numeric", iterations, converged, certificate)
 
 
@@ -256,9 +272,8 @@ def e_certificate(system: ContrastSystem, design: Design) -> CertificateReport:
     """Dual certificate for the largest-eigenvalue criterion at ``design``:
     the dual of ``optimize_phi_p`` at p = -inf, solved to a relative
     ``CERTIFICATE_TOL``, read at ``design``."""
-    evaluation = _evaluate(system.gram, design.w, rank_of(system), -math.inf)
     u, _, _, _ = _e_dual(system, CERTIFICATE_TOL, OptimizeOptions.max_iter, np.asarray)
-    return _dual_certificate(evaluation, u)
+    return _dual_certificate(_evaluate(system.gram, design.w, rank_of(system), -math.inf), u)
 
 
 def grid_oracle(

@@ -8,13 +8,15 @@ every rank).
 
 The covariance matrix is s-by-s, but its positive eigenvalues are those of
 the v-by-v matrix K(w) = diag(w)^{-1/2} q q^T diag(w)^{-1/2}, which is how
-every criterion, rank and certificate in the package reads them; each design
-is eigensolved once, as K(w). The information matrix comes from the same
-v-by-v eigendecomposition, so no s-by-s matrix is ever eigensolved. For a
-pairwise system K(w) is the vertex-weighted Laplacian of the comparison
-graph with vertex weights 1/w_i. A design with other than v weights is
-refused with ``InfeasibleDesign`` by ``_kernels.weighted_gram``, the one
-place that scales by a design.
+every criterion, rank and certificate in the package reads them; each
+reported design is eigensolved once, as K(w) (the descent's iterates at
+p = -1 and -2 are read without an eigensolve: see ``criteria``). The
+information matrix comes from the same v-by-v eigendecomposition, so no
+s-by-s matrix is ever eigensolved. For a pairwise system K(w) is the
+vertex-weighted Laplacian of the comparison graph with vertex weights
+1/w_i. A design with other than v weights is refused with
+``InfeasibleDesign`` by ``_kernels.weighted_gram``, the one place that
+scales by a design.
 
 K(w) is built inside the package and symmetric by construction, so it goes
 straight to ``_kernels.eigh_sym`` (see ``criteria._evaluate``);

@@ -259,6 +259,20 @@ class TestOptimize:
         assert code == 0
         assert (code, doc) == run_cli(capsys, "optimize", "--q", tree7_csv, f"--p={value}")[:2]
 
+    @pytest.mark.parametrize("source", ["tree7", "paw"])
+    def test_numeric_trace_optimum_is_the_closed_form(self, source, tree7_csv, paw_edges, capsys):
+        # the numeric p = -1 descent reads tr K(w) = x . diag(G) with no
+        # eigensolve and reaches the row-norm design, run until no decrease
+        # is left that it can resolve
+        from odg.closed_form import a_optimal_weights
+
+        q = {"tree7": tree7_csv, "paw": paw_edges}[source]
+        system = {"tree7": instances.tree7_system(), "paw": graph_system(instances.paw_graph())}[source]
+        code, doc, _ = run_cli(capsys, "optimize", "--q", q, "--p", "-1", "--method", "numeric", "--tol", "1e-15")
+        assert code == 0
+        assert doc["optimizer"]["method"] == "numeric" and doc["optimizer"]["converged"] is True
+        assert np.abs(np.array(doc["design"]) - a_optimal_weights(system)).max() <= 1e-8
+
     def test_parser_reused_without_state(self, tree7_csv, capsys):
         # the argument parser is built once per process; no value carries over
         code, doc, _ = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", "-2", "--tol", "1e-3")
@@ -440,6 +454,21 @@ class TestOracle:
             assert oracle["passed"] is True
             for key in ("psi0", "kappa", "char_coeff"):
                 assert math.isclose(oracle[key], expected, rel_tol=1e-9)
+
+    def test_kappa_past_the_bound_makes_no_incidence_matrix(self, tmp_path, capsys, monkeypatch):
+        # an edge list's exact Gram matrix is its Laplacian, so K40 is
+        # refused for its size before any v-by-s matrix is made
+        import odg.contrasts
+
+        def refuse(graph):
+            raise AssertionError("incidence matrix built")
+
+        monkeypatch.setattr(odg.contrasts, "incidence_matrix", refuse)
+        q = tmp_path / "k40.edges"
+        q.write_text("v=40\n" + "".join(f"{i} {j}\n" for i in range(1, 41) for j in range(i + 1, 41)))
+        code, doc, err = run_cli(capsys, "oracle", "--q", str(q), "--mode", "kappa")
+        assert code == 7 and doc is None
+        assert "oracle bound exceeded" in err
 
     def test_grid_control_average(self, tmp_path, capsys):
         q = tmp_path / "avg.csv"
@@ -638,9 +667,9 @@ class TestEigensolveBudget:
         orders = []
         original = odg._kernels.eigh_sym
 
-        def counting(a):
+        def counting(a, **kwargs):
             orders.append(np.asarray(a).shape[0])
-            return original(a)
+            return original(a, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if (name == "odg" or name.startswith("odg.")) and getattr(module, "eigh_sym", None) is original:
@@ -654,8 +683,9 @@ class TestEigensolveBudget:
             ("optimize", "--q", "k4", "--p", "0"),
             ("optimize", "--q", "tree7", "--p", "neg-inf"),  # the bipartite E-rule and its certificate
             ("eval", "--q", "tree7", "--w", "w", "--p", "-2"),
+            ("optimize", "--q", "tree7", "--p", "-2", "--method", "numeric"),  # no iterate is eigensolved
         ],
-        ids=["a-closed-form", "d-closed-form", "e-bipartite", "eval"],
+        ids=["a-closed-form", "d-closed-form", "e-bipartite", "eval", "numeric-p-2"],
     )
     def test_gram_then_one_k(self, argv, tmp_path, tree7_csv, capsys, eigensolves):
         k4 = tmp_path / "k4.edges"

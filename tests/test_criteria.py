@@ -6,6 +6,7 @@ import pytest
 import instances
 from odg import (
     ComparisonGraph,
+    ContrastSystem,
     Design,
     Spectrum,
     a_optimal,
@@ -21,9 +22,10 @@ from odg import (
     validate_p,
     vertex_weighted_laplacian,
 )
-from odg.criteria import _evaluate
+from odg.criteria import _evaluate, _evaluator, _PowerSum
 from odg.errors import NonPositiveEigenvalue
-from odg.symmetry import Permutation
+from odg.optimizer import _orbit_average, _unit_scaled
+from odg.symmetry import Permutation, orbit_reduction
 
 NEG_INF = float("-inf")
 P_GRID = (0.0, -0.5, -1.0, -2.0, NEG_INF)
@@ -235,6 +237,39 @@ def test_descent_value_satisfies_euler_identity(tree7, rng, p):
         w = instances.random_design(rng, system.v).w
         evaluation = _evaluate(system.gram, w, rank_of(system), p)
         assert abs(-(w @ evaluation.gradient()) / evaluation.value - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [-1.0, -2.0], ids=["-1", "-2"])
+@pytest.mark.parametrize("name", ["random", "gauss12x6", "orbits", "2^300", "2^-300"])
+def test_power_sum_route_agrees_with_the_eigensolve(name, p):
+    # the descent's p = -1 and -2 evaluations, read from diag(G) and G o G
+    # on G scaled by a power of two, against _reduce and
+    # _Evaluation.gradient on G itself, in G's units: on a full-rank and a
+    # rank-deficient (6 < v - 1) system, with the gradient averaged over
+    # the paw's orbits, and where the squares of G's entries leave the
+    # float range
+    rng = np.random.default_rng(26)
+    averager = np.asarray
+    if name == "gauss12x6":
+        system = instances.random_contrast_system(np.random.default_rng(12), 12, 6)
+        assert rank_of(system) == 6
+    elif name == "orbits":
+        system = graph_system(instances.paw_graph())
+        averager = _orbit_average(orbit_reduction(system, Permutation.from_one_line("1 3 2 4")))
+    else:
+        system = instances.random_contrast_system(rng, 8, 12)
+        if name != "random":
+            system = ContrastSystem(2.0 ** int(name[2:]) * system.q)
+    rank = rank_of(system)
+    gram, e = _unit_scaled(system.gram)
+    evaluate = _evaluator(gram, rank, p)
+    for _ in range(5):
+        w = averager(instances.random_design(rng, system.v).w)
+        route, reference = evaluate(w), _evaluate(system.gram, w, rank, p)
+        assert isinstance(route, _PowerSum)
+        assert abs(math.ldexp(route.value, e) - reference.value) <= 1e-12 * reference.value
+        gradient, expected = averager(np.ldexp(route.gradient(), e)), averager(reference.gradient())
+        assert np.abs(gradient - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("p, closed_form", [(-1.0, a_optimal), (0.0, d_optimal_uniform)], ids=["A", "D"])

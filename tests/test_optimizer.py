@@ -313,13 +313,41 @@ def test_e_optimal_descent_eigensolve_budget(monkeypatch):
     calls = []
     for module in (odg.contrasts, odg.criteria):
         eigh = module.eigh_sym
-        monkeypatch.setattr(module, "eigh_sym", lambda m, eigh=eigh: calls.append(m.shape) or eigh(m))
+        monkeypatch.setattr(module, "eigh_sym", lambda m, eigh=eigh, **kw: calls.append(m.shape) or eigh(m, **kw))
     for system in systems:
         calls.clear()
         result = optimize_phi_p(ContrastSystem(system.q), NEG_INF)  # a fresh system: no Gram eigenpairs cached
         assert result.converged
         assert result.certificate.gap <= 1e-8 * result.certificate.rhs
         assert calls == [(system.v, system.v)] * 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [-1.0, -2.0], ids=["-1", "-2"])
+def test_power_sum_descent_eigensolve_budget(monkeypatch, p):
+    # a numeric p = -1 or -2 optimum costs two eigensolves whatever its
+    # iteration count: G's eigenvalues alone, for the rank, and K(w) at the
+    # reported design; the iterates are read from diag(G) or G o G
+    sparse = instances.random_connected_graph(np.random.default_rng(2), v_max=40, v_min=30)
+    systems = [graph_system(g) for g in (instances.complete_graph(20), sparse)]
+    systems += [instances.tree7_system(), _named_system("gauss12x6")]
+    calls = []
+    for module in (odg.contrasts, odg.criteria):
+        eigh = module.eigh_sym
+
+        def counting(m, values_only=False, eigh=eigh):
+            calls.append((m.shape[0], values_only))
+            return eigh(m, values_only=values_only)
+
+        monkeypatch.setattr(module, "eigh_sym", counting)
+    iterations = []
+    for system in systems:
+        calls.clear()
+        result = optimize_phi_p(ContrastSystem(system.q), p)  # a fresh system: no Gram eigenvalues cached
+        assert result.converged
+        assert calls == [(system.v, True), (system.v, False)]
+        iterations.append(result.iterations)
+    assert max(iterations) > 2
 
 
 def test_e_optimum_of_the_paw_to_eight_digits(paw_system):
@@ -330,20 +358,32 @@ def test_e_optimum_of_the_paw_to_eight_digits(paw_system):
     assert paw.certificate.lhs_max <= 13.0 * (1 + 1e-15)
 
 
+def _recording(evaluate, lowest: list):
+    """``evaluate`` that first records the smallest weight of its design."""
+
+    def checked(w):
+        lowest.append(float(w.min()))
+        return evaluate(w)
+
+    return checked
+
+
 def _record_lowest_weights(monkeypatch) -> list:
-    """The smallest weight of every design the optimizer evaluates."""
+    """The smallest weight of every design the optimizer evaluates, by the
+    descent's evaluator (either route) or by ``_evaluate``."""
     lowest = []
-    evaluate = odg.criteria._evaluate
+    evaluate, evaluator = odg.criteria._evaluate, odg.criteria._evaluator
 
     def checked_evaluate(gram, w, *args):
         lowest.append(float(w.min()))
         return evaluate(gram, w, *args)
 
     monkeypatch.setattr(odg.optimizer, "_evaluate", checked_evaluate)
+    monkeypatch.setattr(odg.optimizer, "_evaluator", lambda *args: _recording(evaluator(*args), lowest))
     return lowest
 
 
-@pytest.mark.parametrize("p", [-0.5, -150.0, -200.0, NEG_INF], ids=["-0.5", "-150", "-200", "-inf"])
+@pytest.mark.parametrize("p", [-0.5, -2.0, -150.0, -200.0, NEG_INF], ids=["-0.5", "-2", "-150", "-200", "-inf"])
 def test_descent_evaluates_no_weight_below_the_floor(monkeypatch, tree7, p):
     # a trial whose softmax weight falls below FLOOR fails its line search
     # unevaluated: an underflowed weight would divide by zero in K(w)
@@ -353,19 +393,22 @@ def test_descent_evaluates_no_weight_below_the_floor(monkeypatch, tree7, p):
     assert min(lowest) >= odg.optimizer.FLOOR
 
 
-def test_trials_below_the_floor_are_halved_unevaluated(monkeypatch, tree7):
+def test_trials_below_the_floor_are_halved_unevaluated(tree7):
     # a curvature pair y = 1e-6 s makes the inverse-Hessian estimate 1e6 I,
     # so the first trials' softmax weights underflow to 0; the line search
-    # must halve past them without an eigensolve and still descend
-    start = _evaluate(tree7.gram, np.full(7, 1.0 / 7), rank_of(tree7), -2.0)
+    # must halve past them unevaluated and still descend, on the
+    # polynomial route (p = -2) and the eigensolving one (p = -0.5)
+    uniform = np.full(7, 1.0 / 7)
     s = np.random.default_rng(7).standard_normal(7)
     pairs = [(s, 1e-6 * s, 1.0 / (1e-6 * float(s @ s)))]
-    lowest = _record_lowest_weights(monkeypatch)
-    final, iterations, _ = odg.optimizer._descend(start, 1e-8, 1, np.asarray, pairs)
-    assert iterations == 1
-    assert lowest
-    assert min(lowest) >= odg.optimizer.FLOOR
-    assert final.value < start.value
+    for p in (-2.0, -0.5):
+        evaluate = odg.criteria._evaluator(tree7.gram, rank_of(tree7), p)
+        lowest = []
+        final, iterations, _ = odg.optimizer._descend(_recording(evaluate, lowest), uniform, 1e-8, 1, np.asarray, pairs)
+        assert iterations == 1
+        assert lowest
+        assert min(lowest) >= odg.optimizer.FLOOR
+        assert final.value < evaluate(uniform).value
 
 
 @pytest.mark.parametrize("p", [0.0, -0.5, -2.0], ids=["0", "-0.5", "-2"])
