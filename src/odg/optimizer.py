@@ -281,17 +281,19 @@ def grid_oracle(
     p: float,
     step: float,
 ) -> Design:
-    """Exhaustive lattice minimizer of the criterion, for tiny systems.
+    """Exact lattice minimizer of the criterion, for tiny systems.
 
-    Scans every design with weights n_i * step (n_i >= 1) on the simplex;
-    steps that do not divide 1 exactly are rounded to the nearest 1/n. Of
-    the designs whose value lies within a relative 1e-12 of the minimum, the
-    lexicographically smallest weight vector is returned. This is a
-    brute-force reference, independent of the descent machinery: with
-    G = F F^T it evaluates p = 0, -1 and -2 by closed forms in 1/w without
-    an eigensolve; other p eigensolve the r-by-r F^T W^{-1} F, and p = -inf
-    only at the designs that trace bounds on its largest eigenvalue leave
-    as candidates for the minimum (see ``_kernels.grid_scan``).
+    Minimizes over every design with weights n_i * step (n_i >= 1) on the
+    simplex; steps that do not divide 1 exactly are rounded to the nearest
+    1/n. Of the designs whose value lies within a relative 1e-12 of the
+    minimum, the lexicographically smallest weight vector is returned; at p
+    other than 0, -1, -2 and -inf the value compared is the power mean
+    1/phi_p. This is a reference independent of the descent machinery: a
+    branch and bound over boxes of designs, pruned by one lower bound that
+    holds at every p, the criterion at a box's corner of largest counts.
+    With G = F F^T it evaluates p = 0, -1 and -2 by closed forms in 1/w
+    without an eigensolve; other p eigensolve the r-by-r F^T W^{-1} F (see
+    ``_kernels.grid_scan``).
     """
     p = validate_p(p)
     if system.v > GRID_MAX_V:

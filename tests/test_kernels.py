@@ -96,33 +96,6 @@ def test_grid_scan_chunk_boundaries_change_no_result(monkeypatch, name, system, 
     assert math.isclose(chunked_value, value, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("v,n", [(v, n) for v in (2, 3, 4) for n in (v, v + 1, 23, 100)])
-def test_lattice_chunks_enumerate_the_lattice_in_order(v, n):
-    chunks = list(kernels._lattice_chunks(n, v))
-    assert all(len(chunk) <= kernels._SCAN_CHUNK for chunk in chunks)
-    counts = np.concatenate(chunks)
-    assert counts.min() >= 1 and (counts.sum(axis=1) == n).all()
-    # the gaps between 0, v - 1 cut positions in 1..n-1 and n, in lexicographic order
-    expected = [
-        [b - a for a, b in zip((0, *cuts), (*cuts, n))] for cuts in itertools.combinations(range(1, n), v - 1)
-    ]
-    assert counts.tolist() == expected
-
-
-def test_lattice_chunks_memory_is_bounded_by_a_chunk():
-    # n = 1000, v = 4 has C(999, 3) = 166 M designs; the pairs table alone would be 498 501 rows
-    chunk_bytes = kernels._SCAN_CHUNK * (4 + 1) * 8
-    tracemalloc.start()
-    try:
-        chunks = kernels._lattice_chunks(1000, 4)
-        for _ in range(3):
-            assert next(chunks).shape == (kernels._SCAN_CHUNK, 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * chunk_bytes
-
-
 @pytest.mark.parametrize(
     "p,expected", [(-1.0, [31, 25, 26, 18]), (NEG_INF, [37, 23, 23, 17])]
 )
@@ -162,16 +135,21 @@ def test_grid_scan_closed_forms_need_no_eigensolve(monkeypatch, p):
 LATTICE_POINTS_V4_N100 = math.comb(99, 3)
 
 
-def unpruned_largest_root_scan(gram, r, n, v):
-    """grid_scan at p = -inf without pruning: the whole lattice in one eigvalsh batch."""
+def unpruned_scan(gram, r, n, v, p):
+    """grid_scan without pruning: psi from the eigenvalues of M at every lattice design, in one batch."""
     vals, vecs = np.linalg.eigh(gram)
     f = vecs[:, ::-1][:, :r] * np.sqrt(vals[::-1][:r])
     cuts = np.array(list(itertools.combinations(range(1, n), v - 1)), dtype=np.int64).reshape(-1, v - 1)
     counts = np.diff(np.pad(cuts, ((0, 0), (1, 0))), axis=1, append=n)
-    m = np.einsum("ka,ai,aj->kij", n / counts, f, f)
-    largest = np.linalg.eigvalsh(m)[:, -1]
-    i = int(np.argmax(largest <= largest.min() * (1.0 + kernels._TIE_RTOL)))
-    return float(largest[i]), counts[i]
+    spectra = np.linalg.eigvalsh(np.einsum("ka,ai,aj->kij", n / counts, f, f))
+    if p == 0.0:
+        psi = np.prod(spectra, axis=1)
+    elif p == NEG_INF:
+        psi = spectra[:, -1]
+    else:
+        psi = np.sum(spectra**-p, axis=1)
+    i = int(np.argmax(psi <= psi.min() * (1.0 + kernels._TIE_RTOL)))
+    return float(psi[i]), counts[i]
 
 
 def _integer_gram(rng, v, r):
@@ -183,31 +161,42 @@ def _integer_gram(rng, v, r):
 
 
 def _pruning_cases():
-    # K4's minimum is the near-uniform point that seeds the threshold; 4 does not divide 97
-    graphs = {"paw": instances.paw_graph(), "star4": instances.star4_graph(), "K4": instances.complete_graph(4)}
-    cases = [
-        pytest.param(graph_system(graphs[name]).gram, 3, n, 4, id=f"{name}-n{n}")
-        for name, n in (("paw", 100), ("star4", 100), ("K4", 100), ("paw", 97))
+    """(gram, r, n, v, p) at every p; the p = -inf cases keep the ids they had when only p = -inf was pruned."""
+    # K4's minimum is the near-uniform point that seeds the threshold; 4 does not divide 97;
+    # two disjoint edges tie every optimum with its image under swapping the edges
+    graphs = {
+        "paw": instances.paw_graph(),
+        "star4": instances.star4_graph(),
+        "K4": instances.complete_graph(4),
+        "2K2": ComparisonGraph(4, ((0, 1), (2, 3))),
+    }
+    systems = [
+        (f"{name}-n{n}", graph_system(graphs[name]).gram, rank, n, 4)
+        for name, rank, n in (("paw", 3, 100), ("star4", 3, 100), ("K4", 3, 100), ("paw", 3, 97), ("2K2", 2, 100))
     ]
     rng = np.random.default_rng(8)
     for v in (2, 3, 4):
         for r in range(1, v + 1):
             for n in (v + 3, 23):
-                cases.append(pytest.param(_integer_gram(rng, v, r), r, n, v, id=f"random-v{v}-r{r}-n{n}"))
-    return cases
+                systems.append((f"random-v{v}-r{r}-n{n}", _integer_gram(rng, v, r), r, n, v))
+    return [
+        pytest.param(gram, r, n, v, p, id=name if p == NEG_INF else f"{name}-p{p}")
+        for name, gram, r, n, v in systems
+        for p in (0.0, -1.0, -2.0, -0.5, NEG_INF)
+    ]
 
 
-@pytest.mark.parametrize("gram,r,n,v", _pruning_cases())
-def test_grid_scan_pruning_changes_no_result(gram, r, n, v):
-    value, counts = kernels.grid_scan(gram, r, n, v, NEG_INF)
-    expected_value, expected_counts = unpruned_largest_root_scan(gram, r, n, v)
+@pytest.mark.parametrize("gram,r,n,v,p", _pruning_cases())
+def test_grid_scan_pruning_changes_no_result(gram, r, n, v, p):
+    value, counts = kernels.grid_scan(gram, r, n, v, p)
+    expected_value, expected_counts = unpruned_scan(gram, r, n, v, p)
     assert counts.tolist() == expected_counts.tolist()
     assert math.isclose(value, expected_value, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("graph", [instances.paw_graph, instances.star4_graph])
 def test_grid_scan_largest_root_eigensolves_few_designs(monkeypatch, graph):
-    # the trace and diagonal bounds rule out all but a few lattice points
+    # the box bound rules out all but a few lattice points
     system = graph_system(graph())
     eigvalsh = kernels.np.linalg.eigvalsh
     solved = []
@@ -221,25 +210,66 @@ def test_grid_scan_largest_root_eigensolves_few_designs(monkeypatch, graph):
     assert 0 < sum(solved) < LATTICE_POINTS_V4_N100 / 8
 
 
+@pytest.mark.parametrize("p", [-1e-300, -1e-12, -1e-9])
+def test_grid_scan_near_zero_p_finds_the_p0_optimum(p):
+    # sum_j lambda_j^-p rounds to r at every design; the power mean does not
+    system = graph_system(instances.paw_graph())
+    _, expected = kernels.grid_scan(system.gram, 3, 100, 4, 0.0)
+    _, counts = kernels.grid_scan(system.gram, 3, 100, 4, p)
+    assert counts.tolist() == expected.tolist() == [25, 25, 25, 25]
+
+
+@pytest.mark.parametrize("p,expected", [(-1.0, [312, 254, 254, 180]), (NEG_INF, [384, 231, 231, 154])])
+def test_grid_scan_at_the_finest_step(p, expected):
+    # n = 1000, v = 4 has C(999, 3) = 166 M designs; the scan keeps a few batches of boxes
+    system = graph_system(instances.paw_graph())
+    batch_bytes = kernels._SCAN_CHUNK * 2 * 4 * 8
+    tracemalloc.start()
+    try:
+        _, counts = kernels.grid_scan(system.gram, 3, 1000, 4, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == expected
+    assert peak <= 16 * batch_bytes
+
+
+def test_grid_scan_refuses_a_criterion_past_the_float_range_without_walking_the_lattice(monkeypatch):
+    system = graph_system(instances.paw_graph())
+    eigvalsh = kernels.np.linalg.eigvalsh
+    solved = []
+
+    def counting(a, *args, **kwargs):
+        solved.append(np.asarray(a).reshape(-1, 3, 3).shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.np.linalg, "eigvalsh", counting)
+    with pytest.raises(TooLarge, match="every lattice design"):
+        kernels.grid_scan(system.gram, 3, 1000, 4, -2000.0)
+    assert sum(solved) < math.comb(999, 3) / 1000
+
+
 @st.composite
-def psd_matrices(draw):
-    r = draw(st.integers(1, 3))
-    top = draw(st.floats(1e-3, 1e3))
-    # repeated top eigenvalues, exact zeros and distinct values
-    below = st.floats(0.0, 1.0).map(lambda t: t * top)
-    rest = draw(st.lists(st.one_of(st.just(top), st.just(0.0), below), min_size=r - 1, max_size=r - 1))
-    # an orthogonal basis: Q of a Gaussian matrix
-    u, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((r, r)))
-    return np.array([top, *rest]), u
+def monotone_cases(draw):
+    v = draw(st.integers(2, 4))
+    r = draw(st.integers(1, v))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gram = _integer_gram(rng, v, r)
+    # x = n / counts at a design on a lattice no finer than the CLI's, then one x_i grown
+    counts = np.array(draw(st.lists(st.integers(1, 1000), min_size=v, max_size=v)))
+    x = counts.sum() / counts
+    grown = x.copy()
+    grown[draw(st.integers(0, v - 1))] *= draw(st.floats(1.0, 10.0))
+    return gram, r, x, grown
 
 
 @settings(max_examples=300, deadline=None)
-@given(psd_matrices())
-def test_largest_root_bounds_enclose_the_largest_eigenvalue(case):
-    spectrum, u = case
-    r = len(spectrum)
-    m = (u * spectrum) @ u.T
-    lower, upper = kernels._largest_root_bounds(((m + m.T) / 2.0).reshape(1, r * r), r)
-    largest = spectrum.max()
-    assert lower[0] <= largest * (1.0 + 1e-9)
-    assert upper[0] >= largest * (1.0 - 1e-9)
+@given(monotone_cases(), st.sampled_from([0.0, -1.0, -2.0, -0.5, -3.0, NEG_INF, -1e-12]))
+def test_lattice_order_is_nondecreasing_in_each_inverse_weight(case, p):
+    # the box bound: the order at a box's corner of largest counts bounds the box
+    gram, r, x, grown = case
+    vals, vecs = kernels.eigh_sym(gram)
+    order, _, _ = kernels._lattice_criterion(vecs[:, :r] * np.sqrt(vals[:r]), p)
+    before, after = order(np.array([x, grown]))
+    # far inside the margin _PRUNE_RTOL that the scan allows the bound
+    assert after >= before * (1.0 - 1e-10)
