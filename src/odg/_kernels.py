@@ -6,24 +6,17 @@ K(w) shares its positive eigenvalues with the s-by-s covariance matrix
 Q^T W^{-1} Q; for pairwise systems it is the vertex-weighted Laplacian.
 ``weighted_gram`` is the one place that scales G by a design and
 ``eigh_sym`` the one eigensolver (LAPACK), which also gives the eigenvalues
-alone where nothing reads the eigenvectors, as for the rank. The descent's
-iterates at p = -1 and -2 are read from diag(G) and G o G with no
-eigensolve (``criteria._evaluator``). ``grid_scan``, the lattice oracle,
-reads the same positive spectrum by a separate route: with G = F F^T
-(F v-by-r, r = rank(G)) it works on the r-by-r matrices
-M = F^T W^{-1} F, never forming K(w). At p = 0, -1 and -2 it needs no
-eigensolve at all: det M (Cauchy-Binet over the r-row minors of F), tr M
-and ||M||_F^2 are polynomials in 1/w with coefficients built once from F;
-p = -inf and other p eigensolve M, and other p compare designs by the power
-mean, which keeps them apart as p -> 0-. It finds the lattice minimum by
-branch and bound, not by evaluating every design: M grows in the Loewner
-order with each 1/w_i, and every criterion grows with M's eigenvalues, so
-one bound holds at every p, the criterion at a box of designs' corner of
-largest counts. Boxes are searched depth first, ``_SCAN_CHUNK`` at a time,
-so at most one batch of boxes waits per level of bisection, whatever the
-step. On the paw and the star it evaluates (bounds and designs together)
-1 100 to 10 600 of the 156 849 designs at n = 100 and 3 900 to 301 000 of
-the 166 M at n = 1000, fewest at p = -inf and most at p = 0.
+alone where nothing reads the eigenvectors, as for the rank. Two rules
+reduce those eigenvalues, each in one place here, for the descent
+(``criteria``) and the lattice oracle alike: ``power_mean``, 1/phi_p read in
+the log domain, and ``power_sum``, psi at p = -1 and -2 from diag(G) or
+G o G with no eigensolve. ``grid_scan``, the lattice oracle, reads the
+positive spectrum by its own route, the r-by-r matrices M = F^T W^{-1} F
+for G = F F^T, with no eigensolve at p = 0, -1 and -2, and finds the lattice
+minimum by branch and bound. On the paw and the star it evaluates (bounds
+and designs together) 1 100 to 10 600 of the 156 849 designs at n = 100 and
+3 900 to 301 000 of the 166 M at n = 1000, fewest at p = -inf and most at
+p = 0.
 """
 
 from __future__ import annotations
@@ -71,72 +64,78 @@ def eigh_sym(a, values_only=False):
     return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
 
 
+def power_mean(lam, q):
+    """(m, powers): the power mean m = (mean_j lam_j^q)^(1/q) = 1/phi_p,
+    q = -p >= 0, of positive eigenvalues descending along the last axis (one
+    spectrum or a batch), and the powers t_j = (lam_j / lam_1)^q in (0, 1].
+
+    m = lam_1 e^a, a = (1/q) log mean_j t_j, is read from
+    l_j = log(lam_j / lam_1), so no power overflows. Where q max_j |l_j| <
+    1e-5 the mean's log loses its digits, and the series
+    a = mean l + (q/2) var l takes its place: p = 0's mean l at q = 0.
+    """
+    ell = np.log(lam / lam[..., :1])
+    powers = np.exp(q * ell)
+    exact = q * -ell[..., -1] >= 1e-5
+    if exact.all():  # one branch where every row agrees: one spectrum stays cheap
+        mean_log = np.log(powers.mean(axis=-1)) / q
+    else:  # also where l is not finite: nan, not a division by q = 0
+        mean_log = ell.mean(axis=-1) + 0.5 * q * ell.var(axis=-1)
+        if exact.any():
+            mean_log = np.where(exact, np.log(powers.mean(axis=-1)) / q, mean_log)
+    return lam[..., 0] * np.exp(mean_log), powers
+
+
+def power_sum(gram, p):
+    """psi = sum_j lambda_j^-p over K(w)'s positive eigenvalues at p = -1
+    or -2, as a function of x = 1/w (leading batch axes allowed) returning
+    (psi, d psi / dx): tr K(w) = x . diag(G), ||K(w)||_F^2 = x^T (G o G) x.
+    """
+    if p == -1.0:
+        diagonal = np.diagonal(gram).copy()
+        return lambda x: (x @ diagonal, diagonal)
+    hadamard = gram * gram
+
+    def frobenius(x):
+        hx = x @ hadamard
+        return np.einsum("...i,...i->...", hx, x), 2.0 * hx
+
+    return frobenius
+
+
 def _lattice_criterion(f, p):
-    """(order, scaled, unit) for M(x) = F^T diag(x) F at each row x = 1/w of
-    a batch: ``order`` ranks designs by the criterion, and ``scaled`` times
-    ``unit`` is psi.
+    """The order of the designs at M(x) = F^T diag(x) F, at each row x = 1/w
+    of a batch: psi at p = 0, -1, -2 and -inf, the power mean 1/phi_p at
+    other p.
 
     Each order is nondecreasing in each x_i: M(x) grows in the Loewner order
     with every x_i, and each reduction below is nondecreasing in M's
     eigenvalues. ``grid_scan``'s box bound rests on this.
 
-    p = 0, -1 and -2 are polynomials in x whose coefficients are sums of
-    non-negative terms: det M = sum over r-subsets S of det(F_S)^2 prod_S x_i
-    (Cauchy-Binet), tr M = x . (row norms^2 of F) and
-    ||M||_F^2 = x^T ((F F^T) o (F F^T)) x. p = -inf is the largest
-    eigenvalue of the r-by-r M. For these, order and scaled are psi and
-    unit is 1. Other p = -q eigensolve M. Their order is the power mean
-    (mean_j lambda_j^q)^(1/q) = 1/phi_p, read as ``criteria._reduce``
-    reads it: from l_j = log(lambda_j / lambda_max), with the series
-    mean l + (q/2) var l where q max_j |l_j| < 1e-5. It never overflows and
-    tells designs apart as p -> 0-, where sum_j lambda_j^q rounds to r at
-    every design. Their scaled value takes the powers of lambda / t,
-    t = tr(F F^T), and unit = t^q: as sum_i 1/x_i = 1,
-    lambda_max(M) >= max_i |f_i|^2 x_i >= t, so the largest power is at
-    least 1 and the sum neither underflows nor loses its digits; it is +inf
-    only where psi itself leaves the float range by the factor t^q.
+    p = 0 is a polynomial in x whose coefficients are non-negative:
+    det M = sum over r-subsets S of det(F_S)^2 prod_S x_i (Cauchy-Binet).
+    p = -1 and -2 are ``power_sum`` on F F^T. p = -inf is the largest
+    eigenvalue of the r-by-r M, and other p its ``power_mean``, which never
+    overflows and tells designs apart as p -> 0-, where sum_j lambda_j^-p
+    rounds to r at every design.
     """
     v, r = f.shape
-    norms = np.einsum("ij,ij->i", f, f)
     if p == 0.0:
         subsets = np.array(list(combinations(range(v), r)), dtype=np.int64)
         minors = np.linalg.det(f[subsets]) ** 2
-        det = lambda x: np.prod(x[:, subsets], axis=2) @ minors  # noqa: E731
-        return det, det, 1.0
-    if p == -1.0:
-        trace = lambda x: x @ norms  # noqa: E731
-        return trace, trace, 1.0
-    if p == -2.0:
-        hadamard = (f @ f.T) ** 2
-        frobenius = lambda x: np.einsum("ij,ij->i", x @ hadamard, x)  # noqa: E731
-        return frobenius, frobenius, 1.0
+        return lambda x: np.prod(x[:, subsets], axis=2) @ minors
+    if p in (-1.0, -2.0):
+        psi = power_sum(f @ f.T, p)
+        return lambda x: psi(x)[0]
     outer = (f[:, :, None] * f[:, None, :]).reshape(v, r * r)
 
     def eigenvalues(x):
-        """Ascending eigenvalues of each row's M."""
-        return np.linalg.eigvalsh((x @ outer).reshape(-1, r, r))
+        """Descending eigenvalues of each row's M."""
+        return np.linalg.eigvalsh((x @ outer).reshape(-1, r, r))[:, ::-1]
 
     if p == -math.inf:
-        largest = lambda x: eigenvalues(x)[:, -1]  # noqa: E731
-        return largest, largest, 1.0
-    q = -p
-    t = float(norms.sum())
-    with np.errstate(over="ignore"):
-        unit = float(np.float64(t) ** q)
-
-    def power_mean(x):
-        lam = eigenvalues(x)
-        ell = np.log(lam / lam[:, -1:])
-        mean_log = np.mean(ell, axis=1) + 0.5 * q * np.var(ell, axis=1)
-        exact = q * -ell[:, 0] >= 1e-5
-        mean_log[exact] = np.log(np.mean(np.exp(q * ell[exact]), axis=1)) / q
-        return lam[:, -1] * np.exp(mean_log)
-
-    def scaled(x):
-        with np.errstate(over="ignore"):
-            return np.sum((eigenvalues(x) / t) ** q, axis=1)
-
-    return power_mean, scaled, unit
+        return lambda x: eigenvalues(x)[:, 0]
+    return lambda x: power_mean(eigenvalues(x), -p)[0]
 
 
 def grid_scan(b, r, n, v, p):
@@ -150,7 +149,9 @@ def grid_scan(b, r, n, v, p):
     eigenvalues of K(w), which the criterion at ``p`` reduces: their product
     at p = 0, the largest at p = -inf, else the sum of each to the power -p.
     Designs are ranked by ``_lattice_criterion``'s order: closed forms in
-    1/w at p = 0, -1 and -2, a batched r-by-r eigensolve at other p.
+    1/w at p = 0, -1 and -2 (det M, and ``power_sum``), a batched r-by-r
+    eigensolve at other p (the largest eigenvalue at p = -inf, else
+    ``power_mean``).
 
     The search runs over boxes lo_j <= counts_j <= hi_j for j < v, with
     counts_v = n - sum_j counts_j, starting from the whole lattice. As the
@@ -168,14 +169,19 @@ def grid_scan(b, r, n, v, p):
     that of a scan of every design: the value and counts of the
     lexicographically earliest design whose order lies within a relative
     ``_TIE_RTOL`` of the least, so designs tied in exact arithmetic resolve
-    the same way however their values are rounded. psi is reported in its
-    own scale and may overflow (inf is returned) where the order does not;
-    ``TooLarge`` says that the scaled value left the float range at the best
-    design, and hence at every design.
+    the same way however their values are rounded.
+
+    The value reported is the kept design's order, which is psi at p = 0,
+    -1, -2 and -inf. At other p = -q the order is the power mean m, and
+    psi = r m^q may overflow (inf is returned) where m does not. As
+    sum_i 1/x_i = 1, lambda_max(M) >= max_i |f_i|^2 x_i >= t, t = tr(F F^T),
+    and m >= lambda_max r^(-1/q), so r (m/t)^q >= 1: ``TooLarge`` says that
+    even this scaled psi left the float range at the best design, and hence
+    at every design.
     """
     vals, vecs = eigh_sym(b)
     f = vecs[:, :r] * np.sqrt(vals[:r])
-    order, scaled, unit = _lattice_criterion(f, p)
+    order = _lattice_criterion(f, p)
     uniform = np.full(v, n // v)
     uniform[: n % v] += 1
     best = float(order(n / uniform[None, :])[0])
@@ -221,10 +227,15 @@ def grid_scan(b, r, n, v, p):
         right_lo[rows, widest] = cut + 1
         if len(lo):
             boxes.append((np.concatenate((lo, right_lo)), np.concatenate((left_hi, hi))))
-    value = math.inf
+    scaled = math.inf
     if len(tied):
-        counts = tied[np.lexsort(tied.T[::-1])[0]]
-        value = float(scaled(n / counts[None, :])[0])
-    if value == math.inf:
+        first = np.lexsort(tied.T[::-1])[0]
+        counts, value = tied[first], tied_values[first]
+        scaled = value
+        if p not in (0.0, -1.0, -2.0, -math.inf):  # the order is the power mean
+            with np.errstate(over="ignore"):
+                scaled = r * (value / vals[:r].sum()) ** -p
+                value = r * value**-p
+    if scaled == math.inf:
         raise TooLarge(f"the criterion at p={p} exceeds the float range at every lattice design")
-    return value * unit, counts
+    return float(value), counts

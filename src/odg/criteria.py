@@ -13,19 +13,20 @@ p = 0, -1, -inf give the classical D-, A- and E-criteria. Smaller psi is
 better; phi is the equivalent maximization form with phi = psi^(-1/r) at
 p = 0, phi = (psi/r)^(1/p) for finite p < 0, and phi = 1/psi at p = -inf.
 At finite p, 1/phi is the eigenvalues' power mean of order -p, which the
-descent minimizes; ``_reduce`` reads it from log(lambda_j / lambda_1), not
-from psi, so it stays finite where psi overflows (p = -300 on a
-seven-treatment tree) and tends to the p = 0 value as p -> 0-.
+descent minimizes; ``_kernels.power_mean``, the rule the lattice oracle
+also reads, takes it from log(lambda_j / lambda_1), not from psi, so it
+stays finite where psi overflows (p = -300 on a seven-treatment tree) and
+tends to the p = 0 value as p -> 0-.
 
 A reported design is one ``_evaluate``: a single eigendecomposition of
 K(w), made by ``eigh_sym``, into an ``_Evaluation`` that the reported
 criterion and spectrum and the E-certificate read. The descent evaluates
 its iterates through ``_evaluator``, which eigensolves only where the
-criterion needs eigenvectors. At p = -1 and -2 the power sums of K(w)'s
-eigenvalues are polynomials in x = 1/w, tr K(w) = x . diag(G) and
-||K(w)||_F^2 = x^T (G o G) x (``_PowerSum``), so those iterates make no
-eigensolve; at other finite p each iterate is one ``_evaluate``, and one
-rule (``_reduce``) gives the value and the gradient's coefficients.
+criterion needs eigenvectors. At p = -1 and -2 psi is a polynomial in
+x = 1/w (``_kernels.power_sum``, shared with the lattice oracle too), so
+those iterates make no eigensolve (``_PowerSum``); at other finite p each
+iterate is one ``_evaluate``, and ``_reduce`` gives the value and the
+gradient's coefficients.
 
 Pass p = -inf as ``float("-inf")``; its value is the largest eigenvalue,
 read by a distinct code path, never as a numerical limit of the finite-p
@@ -42,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._config import RANK_TOL
-from ._kernels import eigh_sym, weighted_gram
+from ._kernels import eigh_sym, power_mean, power_sum, weighted_gram
 from .contrasts import ContrastSystem, rank_of
 from .spectral import Design, Spectrum, spectrum_of
 from .errors import NonPositiveEigenvalue
@@ -107,22 +108,13 @@ def _reduce(top: np.ndarray, p: float):
     d value / d w_i = -sum_j c_j u_ij^2 / w_i.
 
     The value is the largest eigenvalue at p = -inf, and at finite p = -q
-    the power mean 1/phi_p = lambda_1 e^m, m = (1/q) log mean_j t_j, with
-    l_j = log(lambda_j / lambda_1) and t_j = e^(q l_j) in (0, 1], so no
-    power overflows; c_j = value t_j / sum t. Where q max_j |l_j| < 1e-5 the
-    mean's log loses its digits, and the series m = mean l + (q/2) var l
-    takes its place: p = 0's mean l at q = 0, nan where l is not finite.
+    the power mean 1/phi_p (``power_mean``); with the powers
+    t_j = (lambda_j / lambda_1)^q, c_j = value t_j / sum t.
     """
     if p == -math.inf:
         return float(top[0]), top[:1]
-    q = -p
-    ell = np.log(top / top[0])
-    powers = np.exp(q * ell)
-    if q * -ell[-1] >= 1e-5:
-        mean_log = math.log(float(np.mean(powers))) / q
-    else:  # also where l is not finite: nan, not a division by q = 0
-        mean_log = float(np.mean(ell) + 0.5 * q * np.var(ell))
-    value = float(top[0]) * math.exp(mean_log)
+    mean, powers = power_mean(top, -p)
+    value = float(mean)
     return value, value / powers.sum() * powers
 
 
@@ -211,12 +203,9 @@ def _evaluate(
 
 @dataclass(frozen=True, eq=False)
 class _PowerSum:
-    """The power mean 1/phi_p at p = -1 or -2 and its w-gradient, read
-    without an eigensolve. The r positive eigenvalues of K(w) carry all of
-    tr K(w) = x . diag(G) and ||K(w)||_F^2 = x^T (G o G) x, x = 1/w, so
-    1/phi_-1 = x . diag(G) / r with gradient -x^2 o diag(G) / r, and
-    1/phi_-2 = sqrt(x^T (G o G) x / r) with gradient
-    -x^2 o (G o G) x / (value r)."""
+    """The power mean 1/phi_p = (psi / r)^(1/q), q = -p, at p = -1 or -2
+    and its w-gradient, read from ``power_sum`` without an eigensolve: with
+    x = 1/w, d value / d w = -x^2 o (d psi / dx) value / (q psi)."""
 
     w: np.ndarray
     p: float
@@ -229,28 +218,20 @@ class _PowerSum:
 
 def _evaluator(gram: np.ndarray, rank: int, p: float) -> Callable[[np.ndarray], _PowerSum | _Evaluation]:
     """The descent's evaluation of a design at finite p: a ``_PowerSum`` at
-    p = -1 and -2, from diag(G) or G o G formed once here, else
-    ``_evaluate``. ``gram`` should be scaled so that its squares neither
-    overflow nor underflow (``optimizer._unit_scaled``)."""
-    if p == -1.0:
-        diagonal = np.diagonal(gram) / rank
+    p = -1 and -2, from ``power_sum`` built once here, else ``_evaluate``.
+    ``gram`` should be scaled so that its squares neither overflow nor
+    underflow (``optimizer._unit_scaled``)."""
+    if p not in (-1.0, -2.0):
+        return lambda w: _evaluate(gram, w, rank, p)
+    q, psi = -p, power_sum(gram, p)
 
-        def trace(w):
-            x = 1.0 / w
-            return _PowerSum(w, p, float(x @ diagonal), -(x * x) * diagonal)
+    def evaluate(w):
+        x = 1.0 / w
+        total, slope = psi(x)
+        value = (float(total) / rank) ** (1.0 / q)
+        return _PowerSum(w, p, value, -(x * x) * slope * (value / (q * float(total))))
 
-        return trace
-    if p == -2.0:
-        hadamard = gram * gram / rank
-
-        def frobenius(w):
-            x = 1.0 / w
-            hx = hadamard @ x
-            value = math.sqrt(float(x @ hx))
-            return _PowerSum(w, p, value, -(x * x) * hx / value)
-
-        return frobenius
-    return lambda w: _evaluate(gram, w, rank, p)
+    return evaluate
 
 
 def psi_p(

@@ -485,15 +485,15 @@ class TestOracle:
         assert np.abs(np.array(doc["oracle"]["reference_design"]) - optimum).max() <= 1e-6
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_grid_overflowing_criterion_exits_4(self, paw_edges, capsys):
-        # psi at p = -300 exceeds the float range at every lattice design;
-        # the scan still finds its minimizer, and the report refuses psi
-        code, doc, err = run_cli(
-            capsys, "oracle", "--q", paw_edges, "--mode", "grid", "--p", "-300", "--grid-step", "0.05"
-        )
+    @pytest.mark.parametrize("p,step", [("-300", "0.05"), ("-1300", "0.05"), ("-1450", "0.01")])
+    def test_grid_overflowing_criterion_exits_4(self, paw_edges, capsys, p, step):
+        # psi exceeds the float range at every lattice design; the scan still
+        # finds its minimizer, and the report refuses psi. -1300 and -1450
+        # are the last multiples of 50 before the scan itself refuses (exit 7)
+        code, doc, err = run_cli(capsys, "oracle", "--q", paw_edges, "--mode", "grid", "--p", p, "--grid-step", step)
         assert code == 4 and doc is None
         lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: psi at p=-300.0")
+        assert len(lines) == 1 and lines[0].startswith(f"error: psi at p={float(p)}")
 
     def test_grid_overflowing_criterion_skips_the_reference(self, paw_edges, capsys, monkeypatch):
         # the exit-4 refusal comes before the reference descent, which it would discard
@@ -506,10 +506,10 @@ class TestOracle:
         assert descents == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_grid_criterion_past_the_float_range_exits_7(self, paw_edges, capsys):
-        code, doc, err = run_cli(
-            capsys, "oracle", "--q", paw_edges, "--mode", "grid", "--p", "-2000", "--grid-step", "0.05"
-        )
+    @pytest.mark.parametrize("p,step", [("-2000", "0.05"), ("-1350", "0.05"), ("-1500", "0.01")])
+    def test_grid_criterion_past_the_float_range_exits_7(self, paw_edges, capsys, p, step):
+        # even psi scaled by tr(Q Q^T)^p, r (m / t)^q, leaves the float range
+        code, doc, err = run_cli(capsys, "oracle", "--q", paw_edges, "--mode", "grid", "--p", p, "--grid-step", step)
         assert code == 7 and doc is None
         assert "exceeds the float range at every lattice design" in err
 

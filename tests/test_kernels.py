@@ -249,6 +249,40 @@ def test_grid_scan_refuses_a_criterion_past_the_float_range_without_walking_the_
     assert sum(solved) < math.comb(999, 3) / 1000
 
 
+@pytest.mark.parametrize("q", [1e-6, 0.5])
+@pytest.mark.parametrize("r", [1, 3, 40])
+def test_power_mean_batch_agrees_with_one_spectrum_calls(r, q):
+    # descending spectra scale * exp(-spread * shape), shape rising from 0 to 1, so
+    # that max|l| = spread; the spreads put q max|l| on both sides of the series switch 1e-5
+    rng = np.random.default_rng(r)
+    rows = []
+    for spread in np.array([1e-9, 1e-7, 0.995e-5, 1.005e-5, 1e-4, 4e-4]) / q:
+        shape = np.sort(rng.random(r))
+        shape = (shape - shape[0]) / (shape[-1] - shape[0]) if r > 1 else shape * 0.0
+        rows.append(rng.uniform(0.1, 10.0) * np.exp(-spread * shape))
+    batch = np.array(rows)
+    means, powers = kernels.power_mean(batch, q)
+    assert means.shape == (len(rows),) and powers.shape == batch.shape
+    for lam, mean, power in zip(batch, means, powers):
+        one_mean, one_powers = kernels.power_mean(lam, q)
+        assert abs(mean - one_mean) <= 1e-15 * one_mean
+        assert np.all(np.abs(power - one_powers) <= 1e-15 * one_powers)
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-4, 0.5])
+def test_power_mean_is_continuous_across_the_series_switch(q):
+    # on each side of q max|l| = 1e-5 the value agrees with (mean_j lambda_j^q)^(1/q)
+    # summed as log1p(mean expm1(q l)), which keeps its digits at every q
+    for r in (3, 40):
+        t = np.linspace(0.0, 1.0, r)
+        for shape in (t, t**3, t**0.3):
+            for side in (1.0 - 1e-6, 1.0 + 1e-6):
+                lam = 3.7 * np.exp(-1e-5 * side / q * shape)
+                ell = np.log(lam / lam[0])
+                expected = lam[0] * math.exp(math.log1p(math.fsum(np.expm1(q * ell)) / r) / q)
+                assert abs(kernels.power_mean(lam, q)[0] - expected) <= 1e-9 * expected
+
+
 @st.composite
 def monotone_cases(draw):
     v = draw(st.integers(2, 4))
@@ -269,7 +303,7 @@ def test_lattice_order_is_nondecreasing_in_each_inverse_weight(case, p):
     # the box bound: the order at a box's corner of largest counts bounds the box
     gram, r, x, grown = case
     vals, vecs = kernels.eigh_sym(gram)
-    order, _, _ = kernels._lattice_criterion(vecs[:, :r] * np.sqrt(vals[:r]), p)
+    order = kernels._lattice_criterion(vecs[:, :r] * np.sqrt(vals[:r]), p)
     before, after = order(np.array([x, grown]))
     # far inside the margin _PRUNE_RTOL that the scan allows the bound
     assert after >= before * (1.0 - 1e-10)
