@@ -9,14 +9,15 @@ Q^T W^{-1} Q; for pairwise systems it is the vertex-weighted Laplacian.
 alone where nothing reads the eigenvectors, as for the rank. Two rules
 reduce those eigenvalues, each in one place here, for the descent
 (``criteria``) and the lattice oracle alike: ``power_mean``, 1/phi_p read in
-the log domain, and ``power_sum``, psi at p = -1 and -2 from diag(G) or
-G o G with no eigensolve. ``grid_scan``, the lattice oracle, reads the
-positive spectrum by its own route, the r-by-r matrices M = F^T W^{-1} F
-for G = F F^T, with no eigensolve at p = 0, -1 and -2, and finds the lattice
-minimum by branch and bound. On the paw and the star it evaluates (bounds
-and designs together) 1 100 to 10 600 of the 156 849 designs at n = 100 and
-3 900 to 301 000 of the 166 M at n = 1000, fewest at p = -inf and most at
-p = 0.
+the log domain by one formula at every finite p (the mean alone;
+``criteria._reduce`` forms the powers its gradient reads), and
+``power_sum``, psi at p = -1 and -2 from diag(G) or G o G with no
+eigensolve. ``grid_scan``, the lattice oracle, reads the positive spectrum
+by its own route, the r-by-r matrices M = F^T W^{-1} F for G = F F^T, with
+no eigensolve at p = 0, -1 and -2, and finds the lattice minimum by branch
+and bound. On the paw and the star it evaluates (bounds and designs
+together) 1 100 to 10 600 of the 156 849 designs at n = 100 and 3 900 to
+301 000 of the 166 M at n = 1000, fewest at p = -inf and most at p = 0.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import InfeasibleDesign, TooLarge
 
 # Lattice boxes evaluated in one batch; bounds the scan's memory.
 _SCAN_CHUNK = 4096
+# The smallest normal double: at a smaller q, power_mean reads the q -> 0 limit.
+_TINY = np.finfo(np.float64).tiny
 # Relative gap below which two lattice values count as tied.
 _TIE_RTOL = 1e-12
 # Relative margin by which a box's lower bound may exceed the least value
@@ -65,25 +68,24 @@ def eigh_sym(a, values_only=False):
 
 
 def power_mean(lam, q):
-    """(m, powers): the power mean m = (mean_j lam_j^q)^(1/q) = 1/phi_p,
-    q = -p >= 0, of positive eigenvalues descending along the last axis (one
-    spectrum or a batch), and the powers t_j = (lam_j / lam_1)^q in (0, 1].
-
-    m = lam_1 e^a, a = (1/q) log mean_j t_j, is read from
-    l_j = log(lam_j / lam_1), so no power overflows. Where q max_j |l_j| <
-    1e-5 the mean's log loses its digits, and the series
-    a = mean l + (q/2) var l takes its place: p = 0's mean l at q = 0.
+    """The power mean m = (mean_j lam_j^q)^(1/q) = 1/phi_p, q = -p >= 0, of
+    positive eigenvalues descending along the last axis (one spectrum or a
+    batch), read from l_j = log(lam_j / lam_1) <= 0 so that no power
+    overflows: m = lam_1 e^a, a = log1p(mean_j expm1(q l_j)) / q, which
+    keeps its digits as q -> 0. log1p magnifies the mean's rounding by
+    1/T <= r, T = mean_j (lam_j / lam_1)^q. Against a 60-digit reference the
+    relative error is at most 1.1e-12 for r <= 119 eigenvalues and
+    max|l| <= 700, and 5e-14 for r = 40 and max|l| <= 100. Below the
+    smallest normal q (p = 0, or a subnormal q) a is the limit mean l,
+    whose omitted term (q/2) var l is below 1e-300; a zero eigenvalue
+    (l = -inf) leaves it nan, not m = 0.
     """
     ell = np.log(lam / lam[..., :1])
-    powers = np.exp(q * ell)
-    exact = q * -ell[..., -1] >= 1e-5
-    if exact.all():  # one branch where every row agrees: one spectrum stays cheap
-        mean_log = np.log(powers.mean(axis=-1)) / q
-    else:  # also where l is not finite: nan, not a division by q = 0
-        mean_log = ell.mean(axis=-1) + 0.5 * q * ell.var(axis=-1)
-        if exact.any():
-            mean_log = np.where(exact, np.log(powers.mean(axis=-1)) / q, mean_log)
-    return lam[..., 0] * np.exp(mean_log), powers
+    if q >= _TINY:
+        mean_log = np.log1p(np.expm1(q * ell).mean(axis=-1)) / q
+    else:
+        mean_log = np.where(ell[..., -1] > -np.inf, ell.mean(axis=-1), np.nan)
+    return lam[..., 0] * np.exp(mean_log)
 
 
 def power_sum(gram, p):
@@ -135,7 +137,7 @@ def _lattice_criterion(f, p):
 
     if p == -math.inf:
         return lambda x: eigenvalues(x)[:, 0]
-    return lambda x: power_mean(eigenvalues(x), -p)[0]
+    return lambda x: power_mean(eigenvalues(x), -p)
 
 
 def grid_scan(b, r, n, v, p):

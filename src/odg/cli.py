@@ -266,7 +266,8 @@ def _cmd_symmetry(args) -> tuple[dict, int]:
             orbit_count = reduction.orbit_count
 
     cyclic = None
-    if system.v <= args.max_v:
+    searched = system.v <= args.max_v
+    if searched:
         found = find_cyclic_invariance(system, args.max_v)
         if found is not None:
             cyclic = [x + 1 for x in found.mapping]
@@ -276,11 +277,12 @@ def _cmd_symmetry(args) -> tuple[dict, int]:
         cyclic = perm_doc
 
     uniform_optimal = cyclic is not None
-    conclusion = (
-        "uniform design is optimal for every orthogonally invariant criterion"
-        if uniform_optimal
-        else "no cyclic invariance found"
-    )
+    if uniform_optimal:
+        conclusion = "uniform design is optimal for every orthogonally invariant criterion"
+    elif searched:
+        conclusion = "no cyclic invariance found"
+    else:
+        conclusion = f"cyclic search not run: v={system.v} exceeds --max-v={args.max_v}"
     doc = _report(
         "symmetry",
         {"q": args.q, "max_v": args.max_v, "perm": args.perm},

@@ -21,8 +21,9 @@ from .spectral import Design
 
 
 def a_optimal_weights(system: ContrastSystem) -> np.ndarray:
-    """Row norms of the coefficient matrix, normalized to sum to one."""
-    norms = system.row_norms
+    """Row norms of the coefficient matrix, sqrt(diag(Q Q^T)) (the square
+    roots of the degrees for pairwise systems), normalized to sum to one."""
+    norms = np.sqrt(np.diagonal(system.gram))
     return norms / norms.sum()
 
 

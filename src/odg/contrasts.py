@@ -99,11 +99,6 @@ class ContrastSystem:
     def s(self) -> int:
         return self.q.shape[1]
 
-    @property
-    def row_norms(self) -> np.ndarray:
-        """The Euclidean norms of the rows of q."""
-        return np.sqrt(np.sum(self.q * self.q, axis=1))
-
 
 @dataclass(frozen=True, eq=False)
 class ComparisonGraph:
@@ -345,11 +340,6 @@ class _GraphSystem(ContrastSystem):
     @property
     def s(self) -> int:
         return self.graph.s
-
-    @property
-    def row_norms(self) -> np.ndarray:
-        """Square roots of the degrees: each row of q holds degree-many entries +-1."""
-        return np.sqrt(np.diagonal(self.gram))
 
 
 def graph_system(graph: ComparisonGraph) -> ContrastSystem:

@@ -14,9 +14,10 @@ better; phi is the equivalent maximization form with phi = psi^(-1/r) at
 p = 0, phi = (psi/r)^(1/p) for finite p < 0, and phi = 1/psi at p = -inf.
 At finite p, 1/phi is the eigenvalues' power mean of order -p, which the
 descent minimizes; ``_kernels.power_mean``, the rule the lattice oracle
-also reads, takes it from log(lambda_j / lambda_1), not from psi, so it
-stays finite where psi overflows (p = -300 on a seven-treatment tree) and
-tends to the p = 0 value as p -> 0-.
+also reads, takes it by one formula from log(lambda_j / lambda_1), not
+from psi, so it stays finite where psi overflows (p = -300 on a
+seven-treatment tree) and tends to the p = 0 value as p -> 0-;
+``_reduce`` forms the powers that its gradient reads.
 
 A reported design is one ``_evaluate``: a single eigendecomposition of
 K(w), made by ``eigh_sym``, into an ``_Evaluation`` that the reported
@@ -109,12 +110,12 @@ def _reduce(top: np.ndarray, p: float):
 
     The value is the largest eigenvalue at p = -inf, and at finite p = -q
     the power mean 1/phi_p (``power_mean``); with the powers
-    t_j = (lambda_j / lambda_1)^q, c_j = value t_j / sum t.
+    t_j = (lambda_j / lambda_1)^q, formed here, c_j = value t_j / sum t.
     """
     if p == -math.inf:
         return float(top[0]), top[:1]
-    mean, powers = power_mean(top, -p)
-    value = float(mean)
+    value = float(power_mean(top, -p))
+    powers = (top / top[0]) ** -p
     return value, value / powers.sum() * powers
 
 
@@ -147,7 +148,6 @@ class _Evaluation:
     without it.
     """
 
-    gram: np.ndarray
     w: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
@@ -198,7 +198,7 @@ def _evaluate(
     check; ``rank_tol`` sets the threshold of the spectrum it reports.
     """
     values, vectors = eigh_sym(weighted_gram(gram, w))
-    return _Evaluation(gram, w, values, vectors, rank, validate_p(p), rank_tol)
+    return _Evaluation(w, values, vectors, rank, validate_p(p), rank_tol)
 
 
 @dataclass(frozen=True, eq=False)

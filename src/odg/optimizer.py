@@ -262,7 +262,7 @@ def optimize_phi_p(
         start = averager(_initial_point(system, p))
         final, iterations, converged = _descend(evaluate, start, opts.tol, opts.max_iter, averager, [])
         if isinstance(final, _Evaluation):  # K(w) scales exactly with G
-            final = replace(final, gram=system.gram, values=np.ldexp(final.values, e))
+            final = replace(final, values=np.ldexp(final.values, e))
         else:  # no iterate was eigensolved: the reported design is, once
             final = _evaluate(system.gram, final.w, rank, p)
     return OptimizationResult(Design(final.w), final.criterion, final, "numeric", iterations, converged, certificate)

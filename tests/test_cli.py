@@ -425,6 +425,18 @@ class TestSymmetry:
         assert doc["symmetry"]["perm_invariant"] is True
         assert doc["symmetry"]["cyclic"] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 1]
 
+    def test_large_with_acyclic_perm_says_the_search_was_not_run(self, tmp_path, capsys):
+        # the reflection of a 10-ring is invariant but not one cycle, and v exceeds --max-v 9:
+        # no search ran, so none can have failed (--max-v 10 finds the rotation)
+        q = write_matrix(tmp_path, "ring10.csv", instances.ring_system(10).q)
+        code, doc, _ = run_cli(capsys, "symmetry", "--q", q, "--perm", "1 10 9 8 7 6 5 4 3 2")
+        assert code == 0
+        sym = doc["symmetry"]
+        assert sym["perm_invariant"] is True and sym["cyclic"] is None and sym["uniform_optimal"] is False
+        assert sym["conclusion"] == "cyclic search not run: v=10 exceeds --max-v=9"
+        code, doc, _ = run_cli(capsys, "symmetry", "--q", q, "--perm", "1 10 9 8 7 6 5 4 3 2", "--max-v", "10")
+        assert code == 0 and doc["symmetry"]["uniform_optimal"] is True
+
 
     def test_paw_at_any_scale(self, tmp_path, capsys):
         # written at scale 1e-6 the paw's q q^T is below 1e-10 entrywise;

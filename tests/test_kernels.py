@@ -253,7 +253,7 @@ def test_grid_scan_refuses_a_criterion_past_the_float_range_without_walking_the_
 @pytest.mark.parametrize("r", [1, 3, 40])
 def test_power_mean_batch_agrees_with_one_spectrum_calls(r, q):
     # descending spectra scale * exp(-spread * shape), shape rising from 0 to 1, so
-    # that max|l| = spread; the spreads put q max|l| on both sides of the series switch 1e-5
+    # that max|l| = spread; the spreads take q max|l| from 1e-9 to 4e-4
     rng = np.random.default_rng(r)
     rows = []
     for spread in np.array([1e-9, 1e-7, 0.995e-5, 1.005e-5, 1e-4, 4e-4]) / q:
@@ -261,26 +261,41 @@ def test_power_mean_batch_agrees_with_one_spectrum_calls(r, q):
         shape = (shape - shape[0]) / (shape[-1] - shape[0]) if r > 1 else shape * 0.0
         rows.append(rng.uniform(0.1, 10.0) * np.exp(-spread * shape))
     batch = np.array(rows)
-    means, powers = kernels.power_mean(batch, q)
-    assert means.shape == (len(rows),) and powers.shape == batch.shape
-    for lam, mean, power in zip(batch, means, powers):
-        one_mean, one_powers = kernels.power_mean(lam, q)
+    means = kernels.power_mean(batch, q)
+    assert means.shape == (len(rows),)
+    for lam, mean in zip(batch, means):
+        one_mean = kernels.power_mean(lam, q)
         assert abs(mean - one_mean) <= 1e-15 * one_mean
-        assert np.all(np.abs(power - one_powers) <= 1e-15 * one_powers)
 
 
-@pytest.mark.parametrize("q", [1e-6, 1e-4, 0.5])
-def test_power_mean_is_continuous_across_the_series_switch(q):
-    # on each side of q max|l| = 1e-5 the value agrees with (mean_j lambda_j^q)^(1/q)
-    # summed as log1p(mean expm1(q l)), which keeps its digits at every q
-    for r in (3, 40):
-        t = np.linspace(0.0, 1.0, r)
-        for shape in (t, t**3, t**0.3):
-            for side in (1.0 - 1e-6, 1.0 + 1e-6):
-                lam = 3.7 * np.exp(-1e-5 * side / q * shape)
-                ell = np.log(lam / lam[0])
-                expected = lam[0] * math.exp(math.log1p(math.fsum(np.expm1(q * ell)) / r) / q)
-                assert abs(kernels.power_mean(lam, q)[0] - expected) <= 1e-9 * expected
+@pytest.mark.parametrize("spread", [20.0, 100.0])
+def test_power_mean_keeps_its_digits_at_every_q(spread):
+    # against (mean_j lambda_j^q)^(1/q) summed as log1p(mean expm1(q l)) by fsum, and
+    # below the smallest normal q as its q -> 0 limit, mean l (the omitted
+    # (q/2) var l is below 1e-300); log(mean_j t_j) / q would lose about eps / q
+    r = 40
+    t = np.linspace(0.0, 1.0, r)
+    for shape in (t, t**3, t**0.3):
+        lam = 3.7 * np.exp(-spread * shape)
+        ell = np.log(lam / lam[0])
+        for q in [*np.geomspace(1e-7, 1e-2, 40), 0.5, 5e-324, 1e-310, 1e-300]:
+            if q >= np.finfo(np.float64).tiny:
+                mean_log = math.log1p(math.fsum(np.expm1(q * ell)) / r) / q
+            else:
+                mean_log = math.fsum(ell) / r
+            expected = lam[0] * math.exp(mean_log)
+            assert abs(kernels.power_mean(lam, q) - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("q", [0.0, 5e-324])
+@pytest.mark.parametrize("smallest", [0.0, -1e-17])
+def test_power_mean_of_a_nonpositive_eigenvalue_is_nan_at_p0(smallest, q):
+    # the descent rejects a trial whose value is nan; the geometric mean 0 would be its best value
+    batch = np.array([[2.0, 1.0, smallest], [2.0, 1.0, 0.5]])
+    with np.errstate(divide="ignore", invalid="ignore"):  # the log of 0 or of a negative number
+        means = kernels.power_mean(batch, q)
+        assert math.isnan(kernels.power_mean(batch[0], q))
+    assert math.isnan(means[0]) and means[1] == kernels.power_mean(batch[1], q)
 
 
 @st.composite
