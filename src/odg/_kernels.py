@@ -6,8 +6,11 @@ K(w) shares its positive eigenvalues with the s-by-s covariance matrix
 Q^T W^{-1} Q; for pairwise systems it is the vertex-weighted Laplacian.
 ``weighted_gram`` is the one place that scales G by a design and
 ``eigh_sym`` the one eigensolver (LAPACK), which also gives the eigenvalues
-alone where nothing reads the eigenvectors, as for the rank. Two rules
-reduce those eigenvalues, each in one place here, for the descent
+alone where nothing reads the eigenvectors, as for the rank.
+``_unit_scaled`` is the one exact scaling of G, by the power of two that
+brings its largest entry into [1/2, 1), for the descent, the E-dual and
+the cyclic search's closed-walk counts alike. Two rules reduce those
+eigenvalues, each in one place here, for the descent
 (``criteria``) and the lattice oracle alike: ``power_mean``, 1/phi_p read in
 the log domain by one formula at every finite p (the mean alone;
 ``criteria._reduce`` forms the powers its gradient reads), and
@@ -39,6 +42,13 @@ _TIE_RTOL = 1e-12
 # found and the box still be searched. The bound and the values each carry
 # a rounding error of a few eps (more where M is ill-conditioned).
 _PRUNE_RTOL = 1e-6
+
+
+def _unit_scaled(gram: np.ndarray) -> tuple[np.ndarray, int]:
+    """(``gram`` times 2^-e, e the binary exponent of its largest entry, so
+    that no square or product of its rows overflows or underflows; e)."""
+    e = math.frexp(float(np.abs(gram).max()))[1]
+    return np.ldexp(gram, -e), e
 
 
 def weighted_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -220,7 +220,7 @@ def _evaluator(gram: np.ndarray, rank: int, p: float) -> Callable[[np.ndarray], 
     """The descent's evaluation of a design at finite p: a ``_PowerSum`` at
     p = -1 and -2, from ``power_sum`` built once here, else ``_evaluate``.
     ``gram`` should be scaled so that its squares neither overflow nor
-    underflow (``optimizer._unit_scaled``)."""
+    underflow (``_kernels._unit_scaled``)."""
     if p not in (-1.0, -2.0):
         return lambda w: _evaluate(gram, w, rank, p)
     q, psi = -p, power_sum(gram, p)

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import grid_scan
+from ._kernels import _TINY, _unit_scaled, grid_scan
 from .closed_form import a_optimal_weights
 from .contrasts import ContrastSystem, rank_of
 from .criteria import (
@@ -177,17 +177,10 @@ def _initial_point(system: ContrastSystem, p: float) -> np.ndarray:
     return np.full(system.v, 1.0 / system.v)
 
 
-def _unit_scaled(gram: np.ndarray) -> tuple[np.ndarray, int]:
-    """(``gram`` times 2^-e, e the binary exponent of its largest entry, so
-    that no square or product of its rows overflows or underflows; e)."""
-    e = math.frexp(float(np.abs(gram).max()))[1]
-    return np.ldexp(gram, -e), e
-
-
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """``x`` with each row scaled to unit length; a zero row stays zero."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    return x / np.maximum(norms, np.finfo(np.float64).tiny)[:, None]
+    return x / np.maximum(norms, _TINY)[:, None]
 
 
 def _e_dual(system: ContrastSystem, tol: float, max_iter: int, averager):
@@ -201,7 +194,7 @@ def _e_dual(system: ContrastSystem, tol: float, max_iter: int, averager):
     ``CHECK_EVERY`` iterations and at the last, u = diag(G V V^T) (then
     ``averager``) gives the bound L = sum u <= E* and w ~ max(u, FLOOR L);
     a Cholesky factorisation of (1 + tol) L diag(w) - G proves, if it
-    succeeds, lambda_max(K(w)) <= (1 + tol) E*. Works on ``_unit_scaled``
+    succeeds, lambda_max(K(w)) <= (1 + tol) E*. Works on ``_kernels._unit_scaled``
     G; returns (u in G's units, w, iterations, converged)."""
     gram, e = _unit_scaled(system.gram)
     v = system.v

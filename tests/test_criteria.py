@@ -24,7 +24,8 @@ from odg import (
 )
 from odg.criteria import _evaluate, _evaluator, _PowerSum
 from odg.errors import NonPositiveEigenvalue
-from odg.optimizer import _orbit_average, _unit_scaled
+from odg._kernels import _unit_scaled
+from odg.optimizer import _orbit_average
 from odg.symmetry import Permutation, orbit_reduction
 
 NEG_INF = float("-inf")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import instances
 from odg import (
+    ComparisonGraph,
     ContrastSystem,
     Design,
     OptimizeOptions,
@@ -16,10 +18,12 @@ from odg import (
     graph_system,
     optimize_phi_p,
     orbit_reduction,
+    parse_contrast_matrix,
     psi_p,
     vertex_weighted_laplacian,
 )
-from odg.symmetry import Permutation
+from odg import symmetry
+from odg.symmetry import INVARIANCE_TOL, Permutation
 from odg.errors import NotInvariant, TooLarge
 
 NEG_INF = float("-inf")
@@ -195,3 +199,151 @@ class TestOrbitReduction:
         for orbit in range(reduction.orbit_count):
             weights = constrained.design.w[labels == orbit]
             assert np.abs(weights - weights[0]).max() < 1e-12
+
+
+def _first_accepted_cycle(system: ContrastSystem):
+    """The first of the (v-1)! cycles through vertex 0, in lexicographic
+    order, that ``check_invariance`` accepts; None if there is none."""
+    for rest in itertools.permutations(range(1, system.v)):
+        perm = Permutation.from_cycle((0, *rest))
+        if check_invariance(system, perm):
+            return perm
+    return None
+
+
+def _first_accepted_cycle_skipping(system: ContrastSystem):
+    """``_first_accepted_cycle`` for larger v: the same lexicographic order,
+    but a block of cycles that share a prefix is skipped when the pairs the
+    prefix maps (c_t -> c_t+1) already move an entry of q q^T by more than
+    ``check_invariance``'s tolerance, since no cycle in the block can then
+    be accepted."""
+    gram, v = system.gram, system.v
+    tol = INVARIANCE_TOL * np.abs(gram).max()
+
+    def first(prefix):
+        if len(prefix) == v:
+            perm = Permutation.from_cycle(prefix)
+            return perm if check_invariance(system, perm) else None
+        for nxt in range(1, v):
+            if nxt in prefix:
+                continue
+            order = (*prefix, nxt)
+            pairs = list(zip(order, order[1:]))
+            if any(abs(gram[b, d] - gram[a, c]) > tol for a, b in pairs for c, d in pairs):
+                continue
+            found = first(order)
+            if found is not None:
+                return found
+        return None
+
+    return first((0,))
+
+
+def _relabelled_circulant(rng, n: int, jumps) -> ContrastSystem:
+    labels = rng.permutation(n)
+    edges = {tuple(sorted((int(labels[i]), int(labels[(i + j) % n])))) for i in range(n) for j in jumps}
+    return graph_system(ComparisonGraph(n, tuple(sorted(edges))))
+
+
+def _generalized_petersen(n: int, k: int) -> ContrastSystem:
+    """GP(n, k): an outer n-cycle, spokes i -- n + i, inner edges n + i -- n + (i + k) mod n."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return graph_system(ComparisonGraph(2 * n, tuple(edges)))
+
+
+def _circulant_csv(rng, v: int, scale: float, noise: float) -> ContrastSystem:
+    """A float contrast system Q whose Q Q^T is circulant (Q is: each row the
+    last one shifted, a zero-sum first row), rows relabelled, written at
+    ``scale`` and moved by a relative ``noise``, read back from CSV."""
+    first = rng.standard_normal(v)
+    first -= first.mean()
+    q = np.array([np.roll(first, i) for i in range(v)])[rng.permutation(v)]
+    q = scale * (q + noise * rng.standard_normal((v, v)) * np.abs(q).max())
+    q -= q.mean(axis=0)
+    return parse_contrast_matrix("".join(",".join(repr(float(x)) for x in row) + "\n" for row in q))
+
+
+def _random_cubic_graph(rng, v: int) -> ComparisonGraph:
+    """A random 3-regular simple graph: random pairings of 3v half-edges,
+    redrawn until no loop or double edge remains."""
+    while True:
+        ends = rng.permutation(np.repeat(np.arange(v), 3)).reshape(-1, 2)
+        edges = {tuple(sorted(int(x) for x in pair)) for pair in ends}
+        if len(edges) == len(ends) and all(a != b for a, b in edges):
+            return ComparisonGraph(v, tuple(sorted(edges)))
+
+
+class TestCyclicSearchPruning:
+    """The closed-walk tests and the pruning on G^2..G^k change no answer of
+    the cyclic search: it is always the first cycle in lexicographic order
+    that ``check_invariance`` accepts."""
+
+    def test_every_graph_on_five_vertices(self):
+        pairs = list(itertools.combinations(range(5), 2))
+        checked = 0
+        for mask in range(1, 2 ** len(pairs)):
+            edges = tuple(pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
+            if len({x for edge in edges for x in edge}) < 5:
+                continue  # a vertex without a comparison has a zero row
+            system = graph_system(ComparisonGraph(5, edges))
+            assert find_cyclic_invariance(system) == _first_accepted_cycle(system), edges
+            checked += 1
+        assert checked == 768
+
+    def test_skipping_reference_is_the_brute_force(self, rng):
+        for n in (5, 6, 7):
+            for jumps in ([1], [1, 2], [2], [1, 3]):
+                system = _relabelled_circulant(rng, n, [j for j in jumps if j <= n // 2])
+                assert _first_accepted_cycle_skipping(system) == _first_accepted_cycle(system)
+
+    def test_relabelled_circulants(self, rng):
+        for n in range(5, 13):
+            for _ in range(3):
+                size = int(rng.integers(1, n // 2 + 1))
+                jumps = sorted(int(j) for j in rng.choice(np.arange(1, n // 2 + 1), size, replace=False))
+                system = _relabelled_circulant(rng, n, jumps)
+                expected = _first_accepted_cycle_skipping(system)
+                assert expected is not None  # the rotation by one leaves every circulant invariant
+                assert find_cyclic_invariance(system, max_v=12) == expected, (n, jumps)
+
+    @pytest.mark.parametrize("scale", [2.0**300, 2.0**-300, 1.0], ids=["2^300", "2^-300", "1"])
+    def test_float_circulants_within_the_tolerance(self, rng, scale):
+        for v in (6, 9, 12):
+            system = _circulant_csv(rng, v, scale, 1e-12)
+            found = find_cyclic_invariance(system, max_v=12)
+            assert found is not None and found.is_cyclic
+            # the noise stays within a quarter of the tolerance on the cycle found
+            gram, m = system.gram, np.asarray(found.mapping)
+            assert np.abs(gram[np.ix_(m, m)] - gram).max() <= INVARIANCE_TOL / 4 * np.abs(gram).max()
+            assert found == _first_accepted_cycle_skipping(system)
+
+    @pytest.mark.parametrize("scale", [2.0**300, 2.0**-300], ids=["2^300", "2^-300"])
+    def test_float_circulants_beyond_the_tolerance(self, rng, scale):
+        for v in (6, 9, 12):
+            assert find_cyclic_invariance(_circulant_csv(rng, v, scale, 1e-6), max_v=12) is None
+
+    def test_a_zero_walk_tolerance_loses_the_invariance(self, rng, monkeypatch):
+        # the walk tolerance is what keeps the invariances of noisy systems
+        systems = [_circulant_csv(rng, v, 2.0**300, 1e-12) for v in (6, 9, 12)]
+        assert all(find_cyclic_invariance(system, max_v=12) is not None for system in systems)
+        monkeypatch.setattr(symmetry, "_walk_tolerance", lambda k, v, m, tau: 0.0)
+        assert all(find_cyclic_invariance(system, max_v=12) is None for system in systems)
+
+    @pytest.mark.parametrize("n, v", [(5, 10), (10, 20)], ids=["petersen", "dodecahedron"])
+    def test_vertex_transitive_without_a_cycle(self, n, v):
+        assert find_cyclic_invariance(_generalized_petersen(n, 2), max_v=v) is None
+
+    def test_non_walk_regular_refused_before_backtracking(self, monkeypatch):
+        graph = _random_cubic_graph(np.random.default_rng(4), 12)
+        system = graph_system(graph)
+        gram = system.gram
+        # every vertex looks alike in G, but not in its closed 3-walks
+        assert np.all(np.sort(gram, axis=1) == np.sort(gram[0]))
+        assert np.ptp(np.diag(np.linalg.matrix_power(gram, 3))) > 0
+
+        def refuse(rows, tols):
+            raise AssertionError("backtracked on a system that is not walk-regular")
+
+        monkeypatch.setattr(symmetry, "_backtrack", refuse)
+        assert find_cyclic_invariance(system, max_v=12) is None
