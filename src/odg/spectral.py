@@ -51,6 +51,9 @@ class Design:
             raise InfeasibleDesign("design needs at least 2 weights")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise InfeasibleDesign("all weights must be strictly positive")
+        # K(w) divides by sqrt(w_i w_j), and w_i^2 underflows below 2^-511
+        if np.any(w < 2.0**-511):
+            raise InfeasibleDesign(f"weight {float(w.min())!r} is below 2^-511, the least K(w) can scale by")
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InfeasibleDesign(f"weights sum to {total!r}, not 1")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,21 @@ def test_vanishing_weight_exits_3(tmp_path, capsys, argv):
     w = np.array([1e-17, 1.0, 1.0, 1.0])
     path = write_weights(tmp_path, "w.txt", w / w.sum())
     code, doc, err = run_cli(capsys, argv[0], "--q", str(q), "--w", path, *argv[1:])
+    assert code == 3 and doc is None
+    assert err.splitlines() == [err.strip()] and err.startswith("infeasible design:")
+
+
+@pytest.mark.parametrize(
+    "argv,weight", [(["eval", "--p", "-1"], 1e-200), (["oracle", "--mode", "kappa"], 1e-320)], ids=["eval", "oracle-kappa"]
+)
+def test_underflowing_weight_exits_3(tmp_path, capsys, argv, weight):
+    # w_1^2 underflows below 2^-511: the design is refused before K(w) is formed, with no numpy warning
+    q = tmp_path / "paw.edges"
+    q.write_text("v=4\n1 2\n2 3\n3 1\n1 4\n")
+    path = write_weights(tmp_path, "w.txt", [weight, 0.5, 0.25, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = run_cli(capsys, argv[0], "--q", str(q), "--w", path, *argv[1:])
     assert code == 3 and doc is None
     assert err.splitlines() == [err.strip()] and err.startswith("infeasible design:")
 

@@ -96,6 +96,50 @@ def test_grid_scan_chunk_boundaries_change_no_result(monkeypatch, name, system, 
     assert math.isclose(chunked_value, value, rel_tol=1e-12)
 
 
+def _scan_batches(monkeypatch, gram, r, n, v, p):
+    """The counts of every batch ``grid_scan`` evaluates after the seed design, read back from x = n / counts."""
+    criterion = kernels._lattice_criterion
+    batches = []
+
+    def counting(f, p):
+        order = criterion(f, p)
+
+        def counted(x):
+            batches.append(np.rint(n / x))
+            return order(x)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_lattice_criterion", counting)
+        kernels.grid_scan(gram, r, n, v, p)
+    return batches[1:]
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, -2.0, -0.5, NEG_INF])
+@pytest.mark.parametrize("graph", [instances.paw_graph, instances.star4_graph, instances.path3_graph])
+def test_grid_scan_halves_every_coordinate_at_once(monkeypatch, graph, p):
+    # each batch halves every coordinate of its boxes, so the widest, n - v + 1 counts, is one
+    # count wide after (n - v).bit_length() batches, and one more reads the single designs
+    system = graph_system(graph())
+    n, v = 100, system.v
+    batches = _scan_batches(monkeypatch, system.gram, v - 1, n, v, p)
+    assert len(batches) <= (n - v).bit_length() + 1
+
+
+@pytest.mark.parametrize("chunk", [kernels._SCAN_CHUNK, 5])
+@pytest.mark.parametrize("v", [2, 3, 4])
+def test_grid_scan_evaluates_only_designs_with_positive_counts(monkeypatch, v, chunk):
+    # each batch holds the boxes' corners, then their midpoints, which are lattice designs
+    system = graph_system({2: ComparisonGraph(2, ((1, 0),)), 3: instances.path3_graph(), 4: instances.paw_graph()}[v])
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    for n in (v, v + 1, 23, 100):
+        for counts in _scan_batches(monkeypatch, system.gram, v - 1, n, v, -1.0):
+            corners, mids = np.split(counts, 2)
+            assert corners.min() >= 1
+            assert mids.min() >= 1 and (mids.sum(axis=1) == n).all()
+
+
 @pytest.mark.parametrize(
     "p,expected", [(-1.0, [31, 25, 26, 18]), (NEG_INF, [37, 23, 23, 17])]
 )

@@ -51,6 +51,14 @@ class TestDesign:
         with pytest.raises(InfeasibleDesign):
             Design(np.array([0.5, 0.4]))
 
+    def test_rejects_a_weight_whose_square_underflows(self):
+        # K(w) divides by sqrt(w_i w_j), and (2^-511)^2 is the smallest normal double
+        smallest = 2.0**-511
+        w = np.array([smallest, 0.25, 0.75])
+        assert Design(w).w.tobytes() == w.tobytes()
+        with pytest.raises(InfeasibleDesign, match=r"below 2\^-511"):
+            Design(np.array([np.nextafter(smallest, 0.0), 0.25, 0.75]))
+
     def test_uniform(self):
         assert np.allclose(Design.uniform(7).w, 1 / 7)
 
