@@ -59,6 +59,20 @@ def ring_system(v: int) -> ContrastSystem:
     return ContrastSystem(q)
 
 
+def near_circulant_system(v: int) -> ContrastSystem:
+    """Column i is c_i (e_i - e_(i+1 mod v)), c_i^2 = 1 + 9e-11 min(i, v - i).
+
+    The rotation i -> i + 1 moves no entry of q q^T by more than 1.8e-10,
+    within 1e-10 of its largest entry, about 2; along the cycle diag(q q^T)
+    spreads by about 9e-11 v, 1.3e-8 of that entry at v = 300.
+    """
+    c = np.sqrt(1.0 + 9e-11 * np.minimum(np.arange(v), v - np.arange(v)))
+    q = np.zeros((v, v))
+    q[np.arange(v), np.arange(v)] = c
+    q[(np.arange(v) + 1) % v, np.arange(v)] = -c
+    return ContrastSystem(q)
+
+
 def two_groups_system(g: int) -> ContrastSystem:
     """Every member of the second group compared against every member of the first."""
     v = 2 * g

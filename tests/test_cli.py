@@ -8,6 +8,7 @@ import pytest
 import instances
 from odg import Design, graph_system, psi_p
 from odg.cli import main
+from odg.errors import NotConverged
 
 NEG_INF = float("-inf")
 STABLE_KEYS = {"command", "design", "criterion", "spectrum", "certificate", "symmetry", "oracle"}
@@ -248,6 +249,15 @@ class TestOptimize:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_not_converged_exits_4(self, tree7_csv, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise NotConverged("descent stalled")
+
+        monkeypatch.setattr("odg.cli.optimize_phi_p", stall)
+        code, doc, err = run_cli(capsys, "optimize", "--q", tree7_csv, "--p", "-2", "--method", "numeric")
+        assert code == 4 and doc is None
+        assert err.splitlines() == ["error: descent stalled"]
+
     def test_positive_p_rejected(self, tree7_csv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["optimize", "--q", tree7_csv, "--p", "0.5"])
@@ -452,6 +462,18 @@ class TestSymmetry:
         assert sym["conclusion"] == "cyclic search not run: v=10 exceeds --max-v=9"
         code, doc, _ = run_cli(capsys, "symmetry", "--q", q, "--perm", "1 10 9 8 7 6 5 4 3 2", "--max-v", "10")
         assert code == 0 and doc["symmetry"]["uniform_optimal"] is True
+
+    def test_near_circulant_with_its_rotation(self, tmp_path, capsys):
+        # diag(q q^T) spreads by more than 1e-8 of its largest entry, yet
+        # within the (v // 2) tau that the rotation allows
+        v = 300
+        q = write_matrix(tmp_path, "near300.csv", instances.near_circulant_system(v).q)
+        rotation = " ".join(str((i + 1) % v + 1) for i in range(v))
+        code, doc, _ = run_cli(capsys, "symmetry", "--q", q, "--max-v", str(v), "--perm", rotation)
+        assert code == 0
+        sym = doc["symmetry"]
+        assert sym["perm_invariant"] is True and sym["uniform_optimal"] is True
+        assert len(sym["cyclic"]) == v
 
 
     def test_paw_at_any_scale(self, tmp_path, capsys):

@@ -190,6 +190,18 @@ class TestParsing:
         with pytest.raises(NotAContrast, match="column 1 sums to"):
             parse_contrast_matrix(f"1\n1\n{-2.0 * (1.0 + 1e-9)!r}\n")
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ([1.0, -1.0], "must be 2-dimensional, got ndim=1"),
+            ([[1.0, -1.0]], "need at least 2 treatments and 1 contrast, got 1x2"),
+        ],
+        ids=["1-d", "one-treatment"],
+    )
+    def test_matrix_shape_rejected(self, q, message):
+        with pytest.raises(MalformedInput, match=message):
+            ContrastSystem(np.array(q))
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(MalformedInput):
             parse_contrast_matrix("1,0\n-1\n")

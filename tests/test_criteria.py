@@ -198,6 +198,12 @@ def test_rank_passed_explicitly_controls_reduction():
         psi_p(system, w, 0.0, rank=3)  # third eigenvalue is zero
 
 
+@pytest.mark.parametrize("rank", [0, 3])
+def test_rank_outside_the_spectrum_rejected(rank):
+    with pytest.raises(ValueError, match=f"rank {rank} out of range for spectrum of length 2"):
+        criterion_from_spectrum(Spectrum(np.array([2.0, 1.0]), tol=1e-9), rank, -1.0)
+
+
 def test_non_positive_eigenvalue_message_prints_plain_floats():
     # under numpy >= 2 the repr of a numpy scalar reads np.float64(0.0)
     with pytest.raises(NonPositiveEigenvalue) as excinfo:

@@ -28,7 +28,7 @@ from odg import (
     psi_p,
     rank_of,
 )
-from odg.symmetry import Permutation, orbit_reduction
+from odg.symmetry import OrbitReduction, Permutation, orbit_reduction
 from odg.criteria import _evaluate
 from odg.errors import TooLarge
 
@@ -469,6 +469,12 @@ def test_unconverged_e_design_is_positive(name, max_iter):
     assert result.certificate.lhs_max <= result.certificate.rhs * (1 + 1e-12)
     if name != "v2":  # a single comparison is proven at its first check
         assert not result.converged
+
+
+def test_orbit_reduction_of_another_size_rejected(paw_system):
+    orbits = OrbitReduction(orbit_of=(0, 0, 1), orbit_count=2)
+    with pytest.raises(ValueError, match="orbit reduction does not match the system size"):
+        optimize_phi_p(paw_system, -1.0, OptimizeOptions(orbits=orbits))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

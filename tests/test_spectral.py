@@ -47,6 +47,10 @@ class TestDesign:
         with pytest.raises(InfeasibleDesign):
             Design(np.array([1.2, -0.2]))
 
+    def test_rejects_a_single_weight(self):
+        with pytest.raises(InfeasibleDesign, match="at least 2 weights"):
+            Design(np.array([1.0]))
+
     def test_rejects_bad_sum(self):
         with pytest.raises(InfeasibleDesign):
             Design(np.array([0.5, 0.4]))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +67,10 @@ class TestInvariance:
     def test_tree7_shift_not_invariant(self, tree7):
         shift = Permutation.from_cycle(list(range(7)))
         assert not check_invariance(tree7, shift)
+
+    def test_permutation_of_another_size_rejected(self, tree7):
+        with pytest.raises(ValueError, match="permutation on 6 elements for a system with v=7"):
+            check_invariance(tree7, Permutation(tuple(range(6))))
 
     def test_laplacian_conjugation(self, rng):
         # for a graph automorphism, relabelling the design conjugates the
@@ -347,3 +352,37 @@ class TestCyclicSearchPruning:
 
         monkeypatch.setattr(symmetry, "_backtrack", refuse)
         assert find_cyclic_invariance(system, max_v=12) is None
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestCyclicSearchAtAnyV:
+    """Every rule of the search holds at every v: the closed-walk test
+    allows the (v // 2) tau that an invariance lets diag(G^k) drift, and the
+    backtracking needs no stack frame per vertex."""
+
+    def test_near_circulant_keeps_its_rotation(self):
+        # diag(G) spreads by 1.35e-8 of G's largest entry: within (v // 2) tau,
+        # beyond a test at a fixed 1e-8 of it
+        v = 300
+        system = instances.near_circulant_system(v)
+        rotation = Permutation.from_cycle(range(v))
+        assert check_invariance(system, rotation)
+        found = find_cyclic_invariance(system, max_v=v)
+        assert found is not None and found.is_cyclic
+        assert check_invariance(system, found)
+
+    def test_no_recursion(self):
+        # a 120-cycle, searched with room for 50 more frames than the caller uses
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 50)
+        try:
+            found = find_cyclic_invariance(instances.ring_system(120), max_v=120)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found is not None and found.is_cyclic
